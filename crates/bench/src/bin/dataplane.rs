@@ -4,8 +4,8 @@
 //! **Rank sweep** (`BENCH_dataplane.json`): sweeps 1→28 ranks over the
 //! paper testbed, drives one real (bytes on functional devices)
 //! checkpoint+verify round per point through the sharded NVMf data plane,
-//! and reports the device-time makespan of that IO stream under the two
-//! [`workloads::DriveMode`]s:
+//! and reports the device-time makespan of that IO stream under two issue
+//! orders:
 //!
 //! * **serial** — ranks issue one at a time, so every command and every
 //!   byte of every rank is serialized through a single outstanding queue.
@@ -32,10 +32,10 @@
 //! unobservable by construction.)
 //!
 //! **Reactor mode** (`--mode reactor`): the same 28-rank QD=32 point
-//! driven through the shard-per-core [`nvmecr::ReactorPool`] instead of a
-//! thread per rank (its modeled throughput must stay within 5% of the
-//! rayon drive — the reactor refactor buys scale, not a different data
-//! plane), plus a simkit [`ShardModel`] sweep of 1k–10k *virtual* ranks
+//! driven as chunked rank state machines on [`nvmecr::ReactorPool`]
+//! instead of one-shot whole-rank closures on the same pool (its modeled
+//! throughput must stay within 5% of the one-shot drive — multiplexing
+//! buys scale, not a different data plane), plus a simkit [`ShardModel`] sweep of 1k–10k *virtual* ranks
 //! multiplexed on the paper testbed's 28 cores. Gates: flat per-rank
 //! makespan (≤1.2× the 28-rank per-rank cost) and sub-linear memory
 //! (reactor bookkeeping and process RSS both grow slower than ranks).
@@ -53,8 +53,7 @@ use microfs::block::{BlockDevice, IoCounters};
 use microfs::MicroFs;
 use nvmecr::runtime::{NvmeCrRuntime, RuntimeError, StorageRack};
 use nvmecr::{
-    MachineStep, NvmfBlockDevice, RankMachine, ReactorConfig, ReactorMode, ReactorPool,
-    RuntimeConfig,
+    MachineStep, NvmfBlockDevice, RankMachine, ReactorConfig, ReactorPool, RuntimeConfig,
 };
 use nvmecr_bench::stamp;
 use simkit::ShardModel;
@@ -77,12 +76,15 @@ const SMOKE_BYTES_PER_RANK: u64 = 1 << 20;
 /// entry is raised to `--ranks` when larger.
 const REACTOR_SWEEP: [usize; 4] = [28, 1024, 4096, 10_000];
 
-/// How `run_point` pushes ranks through the data plane.
+/// How `run_point` pushes ranks through the data plane. Both arms run on
+/// the runtime's reactor pool.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Drive {
-    /// One rayon worker per rank (the PR 2 thread-per-rank path).
-    Rayon,
-    /// All ranks multiplexed onto the shard-per-core reactor pool.
+    /// Each rank's checkpoint as one closure run to completion
+    /// (`for_each_rank_par`).
+    OneShot,
+    /// Each rank's checkpoint as a [`ChunkWriter`] machine, stepped one
+    /// 1 MiB write at a time (`drive_reactor`).
     Reactor,
 }
 
@@ -95,7 +97,7 @@ struct RankIo {
 
 /// One rank's checkpoint as a reactor state machine: create the file,
 /// then write it one 1 MiB hugeblock-batch per step — the same chunking
-/// the rayon drive uses, so both drives issue identical IO streams.
+/// the one-shot drive uses, so both drives issue identical IO streams.
 struct ChunkWriter {
     comd: CoMD,
     ckpt: u32,
@@ -240,13 +242,9 @@ fn run_point(
     let mut rt = NvmeCrRuntime::init(&rack, &topo, &alloc, config)?;
     let comd = CoMD::weak_scaling();
 
-    let reactor_cfg = ReactorConfig {
-        mode: ReactorMode::Threaded,
-        ..ReactorConfig::default()
-    };
     for ckpt in 0..CKPTS {
         match drive {
-            Drive::Rayon => rt.for_each_rank_par(|rank, fs| {
+            Drive::OneShot => rt.for_each_rank_par(|rank, fs| {
                 if ckpt == 0 {
                     fs.mkdir("/comd", 0o755).ok();
                 }
@@ -262,7 +260,7 @@ fn run_point(
             })?,
             Drive::Reactor => {
                 rt.drive_reactor(
-                    &reactor_cfg,
+                    &ReactorConfig::default(),
                     |_| 0,
                     |_| {
                         Box::new(ChunkWriter {
@@ -277,17 +275,7 @@ fn run_point(
         }
     }
     let last = CKPTS - 1;
-    let ok = match drive {
-        Drive::Rayon => {
-            rt.map_ranks_par(|rank, fs| verify_rank(&comd, fs, rank, last, bytes_per_rank))?
-        }
-        Drive::Reactor => {
-            let comd = comd.clone();
-            rt.map_ranks_reactor(&reactor_cfg, move |rank, fs| {
-                verify_rank(&comd, fs, rank, last, bytes_per_rank)
-            })?
-        }
-    };
+    let ok = rt.map_ranks_par(|rank, fs| verify_rank(&comd, fs, rank, last, bytes_per_rank))?;
     if !ok.iter().all(|&v| v) {
         return Err("payload verification failed".into());
     }
@@ -322,7 +310,7 @@ fn rank_point(ranks: u32, ssd_config: &SsdConfig) -> Result<Point, Box<dyn std::
         RuntimeConfig::default().fabric.queue_depth,
         BYTES_PER_RANK,
         true,
-        Drive::Rayon,
+        Drive::OneShot,
     )?;
     let serial_secs: f64 = io
         .iter()
@@ -478,7 +466,7 @@ fn rss_kb() -> u64 {
 
 /// The 28-rank QD=32 point driven both ways through the real stack.
 struct ParityPoint {
-    rayon_gib_s: f64,
+    oneshot_gib_s: f64,
     reactor_gib_s: f64,
     reactor_events: u64,
     reactor_loops: u64,
@@ -510,17 +498,17 @@ fn reactor_section(
     rank_counts: &[usize],
 ) -> Result<ReactorData, Box<dyn std::error::Error>> {
     let qd = 32;
-    let (rayon_pt, _) = qd_point(qd, ssd_config, bytes_per_rank, Drive::Rayon)?;
+    let (oneshot_pt, _) = qd_point(qd, ssd_config, bytes_per_rank, Drive::OneShot)?;
     let (reactor_pt, snap) = qd_point(qd, ssd_config, bytes_per_rank, Drive::Reactor)?;
     let parity = ParityPoint {
-        rayon_gib_s: rayon_pt.write_gib_s,
+        oneshot_gib_s: oneshot_pt.write_gib_s,
         reactor_gib_s: reactor_pt.write_gib_s,
         reactor_events: snap.counter("reactor.events"),
         reactor_loops: snap.counter("reactor.loops"),
     };
     println!(
-        "reactor parity: rayon={:.3}GiB/s  reactor={:.3}GiB/s  events={}  loops={}",
-        parity.rayon_gib_s, parity.reactor_gib_s, parity.reactor_events, parity.reactor_loops
+        "reactor parity: oneshot={:.3}GiB/s  reactor={:.3}GiB/s  events={}  loops={}",
+        parity.oneshot_gib_s, parity.reactor_gib_s, parity.reactor_events, parity.reactor_loops
     );
 
     let model = ShardModel::default();
@@ -552,12 +540,12 @@ fn reactor_section(
 /// Self-validation of the reactor section; any violation fails the bench.
 fn gate_reactor(data: &ReactorData) -> Result<(), Box<dyn std::error::Error>> {
     let p = &data.parity;
-    let delta = (p.reactor_gib_s - p.rayon_gib_s).abs() / p.rayon_gib_s;
+    let delta = (p.reactor_gib_s - p.oneshot_gib_s).abs() / p.oneshot_gib_s;
     if delta > 0.05 {
         return Err(format!(
-            "reactor drive {:.3} GiB/s vs rayon {:.3} GiB/s: {:.1}% apart (> 5%)",
+            "reactor drive {:.3} GiB/s vs one-shot {:.3} GiB/s: {:.1}% apart (> 5%)",
             p.reactor_gib_s,
-            p.rayon_gib_s,
+            p.oneshot_gib_s,
             delta * 100.0
         )
         .into());
@@ -620,7 +608,7 @@ fn submit_ns_sum(
         qd,
         bytes_per_rank,
         recorder_on,
-        Drive::Rayon,
+        Drive::OneShot,
     )?;
     Ok(snap
         .histogram("fabric.submit_ns")
@@ -661,24 +649,18 @@ fn write_dataplane_json(
 ) -> Result<(), Box<dyn std::error::Error>> {
     let mut json = String::new();
     json.push_str("{\n  \"bench\": \"dataplane\",\n");
-    let (mode, reactors, max_ranks) = match reactor {
+    let (reactors, max_ranks) = match reactor {
         Some(r) => (
-            if points.is_empty() {
-                "reactor"
-            } else {
-                "rayon+reactor"
-            },
             r.reactors as u32,
             r.sweep.last().map_or(0, |p| p.ranks as u32),
         ),
-        None => ("rayon", 0, SWEEP[SWEEP.len() - 1]),
+        None => (0, SWEEP[SWEEP.len() - 1]),
     };
     json.push_str(&stamp::meta_line(&stamp::Fingerprint {
         queue_depth: RuntimeConfig::default().fabric.queue_depth,
         ranks: max_ranks.max(SWEEP[SWEEP.len() - 1]),
         replication_factor: 1,
         delta_chain_max: 0,
-        mode,
         reactors,
     }));
     json.push_str(
@@ -726,9 +708,9 @@ fn write_dataplane_json(
         let _ = write!(
             json,
             ",\n  \"reactor\": {{\n    \"reactors\": {},\n    \"parity_qd32\": \
-             {{\"rayon_gib_s\": {:.3}, \"reactor_gib_s\": {:.3}, \"reactor_events\": {}, \
+             {{\"oneshot_gib_s\": {:.3}, \"reactor_gib_s\": {:.3}, \"reactor_events\": {}, \
              \"reactor_loops\": {}}},\n    \"virtual_sweep\": [\n",
-            r.reactors, p.rayon_gib_s, p.reactor_gib_s, p.reactor_events, p.reactor_loops
+            r.reactors, p.oneshot_gib_s, p.reactor_gib_s, p.reactor_events, p.reactor_loops
         );
         for (i, pt) in r.sweep.iter().enumerate() {
             let sep = if i + 1 == r.sweep.len() { "" } else { "," };
@@ -759,7 +741,6 @@ fn write_pipeline_json(
         ranks: QD_RANKS,
         replication_factor: 1,
         delta_chain_max: 0,
-        mode: "rayon",
         reactors: 0,
     }));
     json.push_str(
@@ -821,9 +802,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "--mode" => {
                 reactor_only = match args.next().ok_or("--mode needs a value")?.as_str() {
                     "reactor" => true,
-                    "rayon" => false,
+                    "oneshot" => false,
                     other => {
-                        return Err(format!("--mode must be rayon or reactor, got {other}").into())
+                        return Err(format!("--mode must be oneshot or reactor, got {other}").into())
                     }
                 };
             }
@@ -907,7 +888,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let mut qd_points = Vec::new();
     for &qd in &qds {
-        let (p, _) = qd_point(qd, &ssd_config, bytes_per_rank, Drive::Rayon)?;
+        let (p, _) = qd_point(qd, &ssd_config, bytes_per_rank, Drive::OneShot)?;
         println!(
             "qd={:2}  write_makespan={:.3}ms  write={:.3}GiB/s  cmds={}  \
              submit_ns[n={} p50={} p99={}]",

@@ -156,7 +156,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ranks,
         replication_factor: 2,
         delta_chain_max: DELTA_CHAIN_MAX,
-        mode: "rayon",
         reactors: 0,
     }));
     json.push_str(

@@ -267,7 +267,6 @@ fn write_json(
         ranks,
         replication_factor: 2,
         delta_chain_max: 0,
-        mode: "rayon",
         reactors: 0,
     }));
     json.push_str(

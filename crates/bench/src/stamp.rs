@@ -12,7 +12,7 @@ use std::process::Command;
 
 /// Version of the `BENCH_*.json` artifact layout. Bump when a bench
 /// renames or removes keys (adding keys is backward compatible).
-pub const SCHEMA_VERSION: u32 = 2;
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// The runtime knobs that shape a bench run's numbers.
 #[derive(Clone, Copy, Debug)]
@@ -25,10 +25,8 @@ pub struct Fingerprint {
     pub replication_factor: u32,
     /// Delta-chain length cap (0 = full manifests only).
     pub delta_chain_max: u32,
-    /// How ranks were driven: `"rayon"` (thread per rank), `"reactor"`
-    /// (shard-per-core multiplexing), or `"serial"`.
-    pub mode: &'static str,
-    /// Reactor cores for `"reactor"` runs (0 = not applicable).
+    /// Reactors the run's rank drive was sized for (0 = the pool's
+    /// default, one per available core).
     pub reactors: u32,
 }
 
@@ -54,13 +52,12 @@ pub fn meta_line(fp: &Fingerprint) -> String {
         out,
         "  \"meta\": {{\"schema_version\": {SCHEMA_VERSION}, \"git_commit\": \"{}\", \
          \"fingerprint\": {{\"queue_depth\": {}, \"ranks\": {}, \"replication_factor\": {}, \
-         \"delta_chain_max\": {}, \"mode\": \"{}\", \"reactors\": {}}}}},",
+         \"delta_chain_max\": {}, \"reactors\": {}}}}},",
         git_commit(),
         fp.queue_depth,
         fp.ranks,
         fp.replication_factor,
         fp.delta_chain_max,
-        fp.mode,
         fp.reactors,
     );
     out
@@ -78,7 +75,6 @@ mod tests {
             ranks: 28,
             replication_factor: 2,
             delta_chain_max: 8,
-            mode: "reactor",
             reactors: 28,
         };
         let doc = format!("{{\n  \"bench\": \"x\",\n{}  \"y\": 1\n}}", meta_line(&fp));
@@ -92,7 +88,7 @@ mod tests {
         let f = meta.get("fingerprint").unwrap();
         assert_eq!(f.get("queue_depth").unwrap().as_num(), Some(32.0));
         assert_eq!(f.get("replication_factor").unwrap().as_num(), Some(2.0));
-        assert_eq!(f.get("mode").unwrap().as_str(), Some("reactor"));
+        assert!(f.get("mode").is_none());
         assert_eq!(f.get("reactors").unwrap().as_num(), Some(28.0));
     }
 

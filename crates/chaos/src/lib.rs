@@ -15,6 +15,8 @@
 //!   same seed and same operation order injects exactly the same faults.
 //!   There is no global RNG state to race on.
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -41,10 +41,11 @@ pub struct RuntimeConfig {
     /// to a full manifest after at most `n` deltas (clamped to the ring's
     /// [`microfs::manifest::MAX_DELTA_CHAIN`]).
     pub delta_chain_max: u32,
-    /// Reactors for the shard-per-core drive
-    /// ([`NvmeCrRuntime::drive_reactor`]): `0` (the default) sizes the
-    /// pool to the available cores. Rank count is independent of this —
-    /// each reactor multiplexes many rank state machines.
+    /// Width of every per-rank fan-out — init, `map_ranks_par`,
+    /// recovery, restart and [`NvmeCrRuntime::drive_reactor`]: `0` (the
+    /// default) sizes the reactor pool to the available cores, `1` drives
+    /// every rank inline on the caller (the deterministic drive). Rank
+    /// count is independent of this — each reactor multiplexes many ranks.
     ///
     /// [`NvmeCrRuntime::drive_reactor`]: crate::runtime::NvmeCrRuntime::drive_reactor
     pub reactors: u32,

@@ -27,6 +27,8 @@
 //! Timing *models* for cluster-scale experiments live in the `baselines`
 //! and `workloads` crates; this crate is the thing they model.
 
+#![forbid(unsafe_code)]
+
 pub mod balancer;
 pub mod cache;
 pub mod config;
@@ -48,7 +50,7 @@ pub use intercept::PosixLayer;
 pub use metrics::{efficiency, progress_rate};
 pub use multilevel::{CheckpointLevel, MultiLevelPolicy};
 pub use reactor::{
-    MachineStep, QosConfig, RankMachine, RankTask, ReactorConfig, ReactorMode, ReactorPool,
+    FnMachine, MachineStep, QosConfig, RankMachine, RankTask, ReactorConfig, ReactorPool,
 };
 pub use replication::{Mirror, ReplicationError, ScrubReport};
 pub use runtime::{JobHandle, NvmeCrRuntime, RuntimeError, StorageRack};

@@ -1,28 +1,32 @@
 //! Shard-per-core reactor runtime: run-to-completion event loops that
-//! multiplex many rank state machines onto a fixed set of cores.
+//! multiplex many rank state machines onto a fixed set of cores. This is
+//! the workspace's one fan-out: runtime init, recovery, restart,
+//! whole-rank closures (`map_ranks_par`), multi-step rank machines
+//! (`drive_reactor`) and the crash explorer's point scans all run here.
 //!
-//! The rayon drive model (`for_each_rank_par`) pins one OS thread per
-//! in-flight rank, which caps every sweep at the node's core count. The
-//! reactor model decouples the two (ROADMAP item 2): N reactors — one per
-//! core — each own a **disjoint** set of ranks (their NVMf connections,
-//! QD>1 submission windows, and SSD shard queues travel with the rank's
-//! `MicroFs`), and each rank is a [`RankMachine`] advanced by bounded
-//! steps instead of a blocked thread. Cross-shard work moves through
-//! single-producer/single-consumer message rings ([`SpscRing`]) — task
-//! hand-off in, retired results out, work-stealing migration between —
-//! never through shared locks.
+//! N reactors — one per core — each own a **disjoint** set of tasks, dealt
+//! round-robin (task i lives on reactor i mod N for the whole drive). A
+//! rank's NVMf connection, QD>1 submission window and SSD shard queue
+//! travel with its `MicroFs`, and each rank is a [`RankMachine`] advanced
+//! by bounded steps instead of a blocked thread. A reactor's run queue and
+//! its retired results are plain collections it owns outright, so no two
+//! reactors share a lock or a channel.
 //!
-//! Two execution modes ([`ReactorMode`]):
+//! How a drive executes depends only on its width:
 //!
-//! * **Deterministic** — every reactor is advanced in lockstep rounds on
-//!   the calling thread. Same tasks + same config ⇒ identical step order,
-//!   identical flight-recorder event sequence, identical QoS and steal
-//!   decisions. This is the mode the driver, the determinism tests, and
-//!   the 1k–10k virtual-rank sweeps use.
-//! * **Threaded** — one OS thread per reactor (`std::thread::scope`),
-//!   each running its shard to completion independently. This is the
-//!   28-rank real-thread configuration; ranks still never share a lock
-//!   because ownership is disjoint by construction.
+//! * **One reactor** (or one reactor with work) runs inline on the
+//!   calling thread. Same tasks + same config ⇒ identical step order,
+//!   identical flight-recorder event sequence, identical QoS decisions:
+//!   this is the deterministic, replayable drive.
+//! * **N reactors** run on N scoped OS threads (`std::thread::scope`),
+//!   each driving its shard to completion independently. Ownership is
+//!   disjoint by construction, and storage outcomes match the inline
+//!   drive — the parity tests hold the two equal.
+//!
+//! A drive started from inside another drive's task (recovery inside a
+//! parallel closure, a crash point initialising its own runtime) runs
+//! inline on the thread already executing that task, so nesting never
+//! fans out past one pool's width.
 //!
 //! Admission control runs at reactor ingress: each reactor holds a
 //! per-tenant token-bucket shard ([`QosConfig`]) sized to `quota / N`,
@@ -30,148 +34,37 @@
 //! tenant exhausts its own bucket and is deferred, never a lock that a
 //! well-behaved tenant contends on.
 //!
-//! Telemetry: `reactor.{loops,events,steal_ns,idle_ns}` and
+//! Telemetry: `reactor.{loops,events,idle_ns}` and
 //! `qos.{throttled,admitted}` (see METRICS.md).
 
-use std::cell::UnsafeCell;
+use std::cell::Cell;
 use std::collections::VecDeque;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use telemetry::Telemetry;
 
 use crate::runtime::RuntimeError;
 
-// ---------------------------------------------------------------------------
-// SPSC message rings
-// ---------------------------------------------------------------------------
-
-/// A bounded single-producer/single-consumer ring: the only channel over
-/// which work crosses a reactor boundary. One side pushes, the other pops;
-/// head and tail are independent atomics, so neither side ever takes a
-/// lock or waits on the other.
-pub struct SpscRing<T> {
-    slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
-    cap: usize,
-    /// Next slot the consumer will read.
-    head: AtomicUsize,
-    /// Next slot the producer will write.
-    tail: AtomicUsize,
+thread_local! {
+    /// Set while this thread executes a drive's tasks. A drive started
+    /// under it runs inline instead of spawning another set of reactor
+    /// threads: one pool's worth of threads, regardless of nesting depth.
+    static IN_DRIVE: Cell<bool> = const { Cell::new(false) };
 }
 
-// Safety: the producer half writes only slots in [head, tail) exclusively
-// via &mut RingProducer, the consumer reads them exclusively via
-// &mut RingConsumer, and the release/acquire pair on `tail`/`head`
-// publishes slot contents before the index move.
-unsafe impl<T: Send> Sync for SpscRing<T> {}
-unsafe impl<T: Send> Send for SpscRing<T> {}
+/// Marks the current thread as a drive worker until dropped, restoring
+/// the previous flag even if a machine panics.
+struct DriveGuard(bool);
 
-impl<T> SpscRing<T> {
-    fn with_capacity(cap: usize) -> Arc<Self> {
-        let cap = cap.max(1);
-        let slots = (0..cap)
-            .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Arc::new(SpscRing {
-            slots,
-            cap,
-            head: AtomicUsize::new(0),
-            tail: AtomicUsize::new(0),
-        })
-    }
-
-    /// Items currently queued.
-    fn len(&self) -> usize {
-        self.tail
-            .load(Ordering::Acquire)
-            .wrapping_sub(self.head.load(Ordering::Acquire))
+impl DriveGuard {
+    fn enter() -> Self {
+        DriveGuard(IN_DRIVE.with(|c| c.replace(true)))
     }
 }
 
-impl<T> Drop for SpscRing<T> {
+impl Drop for DriveGuard {
     fn drop(&mut self) {
-        let head = *self.head.get_mut();
-        let tail = *self.tail.get_mut();
-        for i in head..tail {
-            unsafe { (*self.slots[i % self.cap].get()).assume_init_drop() };
-        }
-    }
-}
-
-/// The producer half of an [`SpscRing`].
-pub struct RingProducer<T> {
-    ring: Arc<SpscRing<T>>,
-}
-
-/// The consumer half of an [`SpscRing`].
-pub struct RingConsumer<T> {
-    ring: Arc<SpscRing<T>>,
-}
-
-/// A connected SPSC ring of `cap` slots, split into its two halves.
-pub fn spsc_ring<T: Send>(cap: usize) -> (RingProducer<T>, RingConsumer<T>) {
-    let ring = SpscRing::with_capacity(cap);
-    (
-        RingProducer {
-            ring: Arc::clone(&ring),
-        },
-        RingConsumer { ring },
-    )
-}
-
-impl<T: Send> RingProducer<T> {
-    /// Enqueue `item`; returns it back if the ring is full (the caller
-    /// owns backpressure — nothing blocks).
-    pub fn push(&mut self, item: T) -> Result<(), T> {
-        let head = self.ring.head.load(Ordering::Acquire);
-        let tail = self.ring.tail.load(Ordering::Relaxed);
-        if tail.wrapping_sub(head) == self.ring.cap {
-            return Err(item);
-        }
-        unsafe { (*self.ring.slots[tail % self.ring.cap].get()).write(item) };
-        self.ring
-            .tail
-            .store(tail.wrapping_add(1), Ordering::Release);
-        Ok(())
-    }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether the ring holds no items.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<T: Send> RingConsumer<T> {
-    /// Dequeue the oldest item, if any.
-    pub fn pop(&mut self) -> Option<T> {
-        let tail = self.ring.tail.load(Ordering::Acquire);
-        let head = self.ring.head.load(Ordering::Relaxed);
-        if head == tail {
-            return None;
-        }
-        let item = unsafe { (*self.ring.slots[head % self.ring.cap].get()).assume_init_read() };
-        self.ring
-            .head
-            .store(head.wrapping_add(1), Ordering::Release);
-        Some(item)
-    }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether the ring holds no items.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        IN_DRIVE.with(|c| c.set(self.0));
     }
 }
 
@@ -208,10 +101,10 @@ pub trait RankMachine<F>: Send {
     }
 }
 
-/// One-shot adapter: runs a closure to completion in a single step — the
-/// reactor-mode analogue of the closure `map_ranks_par` takes. Multiplexed
-/// drives should implement [`RankMachine`] with real per-chunk steps
-/// instead.
+/// One-shot adapter: runs a closure to completion in a single step. Every
+/// whole-rank closure (`map_ranks_par`, [`ReactorPool::map`]) rides the
+/// pool this way; multiplexed drives implement [`RankMachine`] with real
+/// per-chunk steps instead.
 pub struct FnMachine<G>(Option<G>);
 
 impl<G> FnMachine<G> {
@@ -236,8 +129,9 @@ where
 
 /// A rank queued for a reactor drive: the rank id, its QoS tenant, the
 /// owned resource (connection + window + filesystem travel as one unit),
-/// and the machine that advances it.
-pub struct RankTask<F, R> {
+/// and the machine that advances it. The machine may borrow from the
+/// caller for `'a`: the drive returns before the borrow ends.
+pub struct RankTask<'a, F, R> {
     /// Global rank.
     pub rank: u32,
     /// QoS tenant the rank bills against.
@@ -245,7 +139,7 @@ pub struct RankTask<F, R> {
     /// The rank's owned resource.
     pub fs: F,
     /// The state machine driving the rank.
-    pub machine: Box<dyn RankMachine<F, Out = R>>,
+    pub machine: Box<dyn RankMachine<F, Out = R> + 'a>,
 }
 
 // ---------------------------------------------------------------------------
@@ -313,25 +207,11 @@ impl TokenBucket {
 // Reactor pool
 // ---------------------------------------------------------------------------
 
-/// How the pool executes its reactors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReactorMode {
-    /// All reactors advanced in lockstep rounds on the calling thread:
-    /// fully deterministic step order, QoS, and stealing. Rank count is
-    /// bounded by memory, not threads.
-    #[default]
-    Deterministic,
-    /// One OS thread per reactor; shards run independently to completion.
-    Threaded,
-}
-
 /// Reactor pool configuration.
 #[derive(Debug, Clone, Default)]
 pub struct ReactorConfig {
     /// Number of reactors. `0` sizes the pool to the available cores.
     pub reactors: usize,
-    /// Execution mode.
-    pub mode: ReactorMode,
     /// Optional per-tenant admission control.
     pub qos: Option<QosConfig>,
 }
@@ -344,12 +224,8 @@ pub struct DriveStats {
     pub loops: u64,
     /// Machine steps executed (completion events processed).
     pub events: u64,
-    /// Wall time spent migrating tasks between shards.
-    pub steal_ns: u64,
     /// Wall time reactors spent with work pending but nothing admissible.
     pub idle_ns: u64,
-    /// Tasks migrated to an idle reactor.
-    pub steals: u64,
     /// Steps deferred by a tenant's exhausted bucket.
     pub throttled: u64,
     /// Steps admitted through the QoS gate.
@@ -360,15 +236,14 @@ pub struct DriveStats {
 pub struct TaskResult<F, R> {
     /// Global rank.
     pub rank: u32,
-    /// The rank's tenant.
-    pub tenant: u32,
     /// The rank's resource, returned to the caller.
     pub fs: F,
     /// The machine's result; `None` when its step failed (the first
     /// failure is in [`DriveOutcome::error`]).
     pub result: Option<R>,
-    /// Scheduling round in which the task retired — a deterministic
-    /// completion time in [`ReactorMode::Deterministic`].
+    /// Scheduling round of its reactor in which the task retired — a
+    /// deterministic completion time, since a reactor's rounds depend
+    /// only on the tasks dealt to it.
     pub done_round: u64,
 }
 
@@ -386,43 +261,22 @@ pub struct DriveOutcome<F, R> {
 /// A fixed-size pool of run-to-completion reactors.
 pub struct ReactorPool {
     n: usize,
-    mode: ReactorMode,
     qos: Option<QosConfig>,
     telemetry: Telemetry,
 }
 
-/// One rank resident on a reactor.
-struct Active<F, R> {
-    rank: u32,
-    tenant: u32,
-    fs: F,
-    machine: Box<dyn RankMachine<F, Out = R>>,
-}
-
-/// One reactor's core-local state. Everything here is owned: the only
-/// shared structures a shard touches are its two ring endpoints.
-struct Shard<F, R> {
-    inbox: RingConsumer<RankTask<F, R>>,
-    outbox: RingProducer<TaskResult<F, R>>,
-    active: VecDeque<Active<F, R>>,
+/// One reactor's core-local state, owned outright: the run queue it was
+/// dealt, the results it retired, and its tenant bucket shards.
+struct Shard<'a, F, R> {
+    inbox: VecDeque<RankTask<'a, F, R>>,
+    outbox: Vec<TaskResult<F, R>>,
     /// Tenant bucket shards, created on first sight of a tenant.
     buckets: Vec<(u32, TokenBucket)>,
     stats: DriveStats,
     error: Option<RuntimeError>,
 }
 
-impl<F: Send, R: Send> Shard<F, R> {
-    fn drain_inbox(&mut self) {
-        while let Some(t) = self.inbox.pop() {
-            self.active.push_back(Active {
-                rank: t.rank,
-                tenant: t.tenant,
-                fs: t.fs,
-                machine: t.machine,
-            });
-        }
-    }
-
+impl<F: Send, R: Send> Shard<'_, F, R> {
     fn admit(&mut self, tenant: u32, cost: u64, qos: &QosConfig, reactors: usize) -> bool {
         let bucket = match self.buckets.iter_mut().find(|(t, _)| *t == tenant) {
             Some((_, b)) => b,
@@ -437,18 +291,15 @@ impl<F: Send, R: Send> Shard<F, R> {
         bucket.admit(cost)
     }
 
-    fn retire(&mut self, a: Active<F, R>, result: Option<R>, round: u64) {
-        let done = TaskResult {
-            rank: a.rank,
-            tenant: a.tenant,
-            fs: a.fs,
+    /// Move the task at `i` off the run queue into the outbox.
+    fn retire(&mut self, i: usize, result: Option<R>, round: u64) {
+        let t = self.inbox.remove(i).expect("index in bounds");
+        self.outbox.push(TaskResult {
+            rank: t.rank,
+            fs: t.fs,
             result,
             done_round: round,
-        };
-        if self.outbox.push(done).is_err() {
-            // The outbox is sized to hold every task in the drive.
-            unreachable!("reactor outbox ring overflow");
-        }
+        });
     }
 
     /// One scheduling round: refill this shard's bucket shards, then give
@@ -461,10 +312,10 @@ impl<F: Send, R: Send> Shard<F, R> {
         }
         let mut progressed = false;
         let mut i = 0;
-        while i < self.active.len() {
+        while i < self.inbox.len() {
             let (tenant, cost) = {
-                let a = &self.active[i];
-                (a.tenant, a.machine.next_cost())
+                let t = &self.inbox[i];
+                (t.tenant, t.machine.next_cost())
             };
             if let Some(q) = qos {
                 if !self.admit(tenant, cost, q, reactors) {
@@ -476,30 +327,41 @@ impl<F: Send, R: Send> Shard<F, R> {
             self.stats.admitted += 1;
             self.stats.events += 1;
             progressed = true;
-            let a = &mut self.active[i];
+            let t = &mut self.inbox[i];
             // Rank trace context: flight-recorder events below this frame
-            // are stamped with the rank being stepped, exactly as in the
-            // rayon drive.
+            // are stamped with the rank being stepped.
             let step = {
-                let _rank = telemetry::context::with_rank(u64::from(a.rank));
-                a.machine.step(a.rank, &mut a.fs)
+                let _rank = telemetry::context::with_rank(u64::from(t.rank));
+                t.machine.step(t.rank, &mut t.fs)
             };
             match step {
                 Ok(MachineStep::Yield) => i += 1,
-                Ok(MachineStep::Done(r)) => {
-                    let a = self.active.remove(i).expect("index in bounds");
-                    self.retire(a, Some(r), round);
-                }
+                Ok(MachineStep::Done(r)) => self.retire(i, Some(r), round),
                 Err(e) => {
-                    let a = self.active.remove(i).expect("index in bounds");
                     if self.error.is_none() {
                         self.error = Some(e);
                     }
-                    self.retire(a, None, round);
+                    self.retire(i, None, round);
                 }
             }
         }
         progressed
+    }
+
+    /// Run rounds until every resident rank retires.
+    fn run(&mut self, qos: Option<&QosConfig>, reactors: usize) {
+        let _worker = DriveGuard::enter();
+        let mut round: u64 = 0;
+        while !self.inbox.is_empty() {
+            round += 1;
+            if !self.run_round(qos, reactors, round) {
+                // Everything resident is throttled: the shard is idle
+                // until the next refill.
+                let t = Instant::now();
+                std::thread::yield_now();
+                self.stats.idle_ns += t.elapsed().as_nanos() as u64;
+            }
+        }
     }
 }
 
@@ -515,95 +377,74 @@ impl ReactorPool {
         };
         ReactorPool {
             n,
-            mode: config.mode,
             qos: config.qos.clone(),
             telemetry: telemetry.clone(),
         }
     }
 
-    /// Number of reactors in the pool.
-    pub fn reactors(&self) -> usize {
-        self.n
-    }
-
     /// Deterministic memory accounting for a drive of `ranks` tasks over
-    /// `reactors` shards: fixed per-reactor state (rings, scheduling
-    /// deque, bucket table) plus three ring/queue slots per task. The
-    /// contrast is the thread-per-rank model, which pins a multi-MiB
-    /// stack per concurrently driven rank — here rank state is ~300 B,
+    /// `reactors` shards: fixed per-reactor state (queue headers, bucket
+    /// table, stats) plus a run-queue slot and an outbox slot per task.
+    /// The contrast is the thread-per-rank model, which pins a multi-MiB
+    /// stack per concurrently driven rank — here rank state is ~200 B,
     /// so rank count scales to 10k+ with sub-linear total growth while
     /// the fixed share still amortizes.
     pub fn footprint_bytes(reactors: usize, ranks: u64) -> u64 {
-        /// Rings, deque headers, bucket table, stats — per reactor.
+        /// Queue headers, bucket table, stats — per reactor.
         const REACTOR_FIXED: u64 = 4096;
-        /// Inbox slot + outbox slot + active-queue entry.
-        const PER_TASK: u64 = 3 * 96;
+        /// Run-queue slot + outbox slot.
+        const PER_TASK: u64 = 2 * 96;
         reactors as u64 * REACTOR_FIXED + ranks * PER_TASK
     }
 
     /// Drive `tasks` to completion and hand every resource back.
-    pub fn drive<F: Send, R: Send>(&self, tasks: Vec<RankTask<F, R>>) -> DriveOutcome<F, R> {
+    pub fn drive<'a, F: Send, R: Send>(
+        &self,
+        tasks: Vec<RankTask<'a, F, R>>,
+    ) -> DriveOutcome<F, R> {
         let n_tasks = tasks.len();
-        let cap = n_tasks + 1;
-        // One inbox and one outbox ring per reactor, so every ring has
-        // exactly one producer and one consumer: the pool thread produces
-        // tasks into inboxes (initial distribution and steal migration
-        // both go through them) and consumes results from outboxes; the
-        // reactor is the other end of both.
-        let mut inboxes: Vec<RingProducer<RankTask<F, R>>> = Vec::with_capacity(self.n);
-        let mut outboxes: Vec<RingConsumer<TaskResult<F, R>>> = Vec::with_capacity(self.n);
-        let mut shards: Vec<Shard<F, R>> = Vec::with_capacity(self.n);
-        for _ in 0..self.n {
-            let (tx, rx) = spsc_ring::<RankTask<F, R>>(cap);
-            let (otx, orx) = spsc_ring::<TaskResult<F, R>>(cap);
-            inboxes.push(tx);
-            outboxes.push(orx);
-            shards.push(Shard {
-                inbox: rx,
-                outbox: otx,
-                active: VecDeque::new(),
+        let mut shards: Vec<Shard<'a, F, R>> = (0..self.n)
+            .map(|_| Shard {
+                inbox: VecDeque::new(),
+                outbox: Vec::new(),
                 buckets: Vec::new(),
                 stats: DriveStats::default(),
                 error: None,
+            })
+            .collect();
+        for (i, task) in tasks.into_iter().enumerate() {
+            shards[i % self.n].inbox.push_back(task);
+        }
+        let qos = self.qos.as_ref();
+        let n = self.n;
+        let busy = shards.iter().filter(|s| !s.inbox.is_empty()).count();
+        if busy <= 1 || IN_DRIVE.with(Cell::get) {
+            for shard in &mut shards {
+                shard.run(qos, n);
+            }
+        } else {
+            std::thread::scope(|scope| {
+                for shard in shards.iter_mut().filter(|s| !s.inbox.is_empty()) {
+                    scope.spawn(move || shard.run(qos, n));
+                }
             });
         }
-        // Disjoint ownership map: rank i lives on reactor i mod N for the
-        // whole drive (modulo stealing, which re-homes it explicitly).
-        for (i, task) in tasks.into_iter().enumerate() {
-            if inboxes[i % self.n].push(task).is_err() {
-                unreachable!("reactor inbox ring overflow");
-            }
-        }
-        match self.mode {
-            ReactorMode::Deterministic => self.run_deterministic(&mut shards, &mut inboxes),
-            ReactorMode::Threaded => self.run_threaded(&mut shards),
-        }
-        // Collect results and fold stats.
         let mut results = Vec::with_capacity(n_tasks);
-        for rx in &mut outboxes {
-            while let Some(r) = rx.pop() {
-                results.push(r);
-            }
-        }
-        results.sort_by_key(|r| r.rank);
         let mut stats = DriveStats::default();
         let mut error = None;
-        for s in &mut shards {
+        for s in shards {
+            results.extend(s.outbox);
             stats.loops += s.stats.loops;
             stats.events += s.stats.events;
-            stats.steal_ns += s.stats.steal_ns;
             stats.idle_ns += s.stats.idle_ns;
-            stats.steals += s.stats.steals;
             stats.throttled += s.stats.throttled;
             stats.admitted += s.stats.admitted;
-            if error.is_none() {
-                error = s.error.take();
-            }
+            error = error.or(s.error);
         }
+        results.sort_by_key(|r| r.rank);
         let t = &self.telemetry;
         t.counter("reactor.loops").add(stats.loops);
         t.counter("reactor.events").add(stats.events);
-        t.counter("reactor.steal_ns").add(stats.steal_ns);
         t.counter("reactor.idle_ns").add(stats.idle_ns);
         t.counter("qos.throttled").add(stats.throttled);
         t.counter("qos.admitted").add(stats.admitted);
@@ -614,94 +455,31 @@ impl ReactorPool {
         }
     }
 
-    /// Lockstep rounds over every shard on the calling thread. After each
-    /// round, drained reactors steal from the most loaded one — through
-    /// the victim's inbox ring, so the migration path is the same SPSC
-    /// protocol as the initial distribution.
-    fn run_deterministic<F: Send, R: Send>(
-        &self,
-        shards: &mut [Shard<F, R>],
-        inboxes: &mut [RingProducer<RankTask<F, R>>],
-    ) {
-        let qos = self.qos.as_ref();
-        let mut round: u64 = 0;
-        loop {
-            round += 1;
-            let mut live = false;
-            for shard in shards.iter_mut() {
-                shard.drain_inbox();
-                if shard.active.is_empty() {
-                    continue;
-                }
-                live = true;
-                shard.run_round(qos, self.n, round);
-            }
-            if !live {
-                break;
-            }
-            self.steal_pass(shards, inboxes);
-        }
-    }
-
-    /// Migrate one task per idle reactor from the most loaded shard. The
-    /// choice is a pure function of shard loads, so deterministic runs
-    /// steal identically.
-    fn steal_pass<F: Send, R: Send>(
-        &self,
-        shards: &mut [Shard<F, R>],
-        inboxes: &mut [RingProducer<RankTask<F, R>>],
-    ) {
-        for thief in 0..shards.len() {
-            if !shards[thief].active.is_empty() || !inboxes[thief].is_empty() {
-                continue;
-            }
-            let Some(donor) = (0..shards.len())
-                .filter(|&d| shards[d].active.len() >= 2)
-                .max_by_key(|&d| shards[d].active.len())
-            else {
-                continue;
-            };
-            let t = Instant::now();
-            let a = shards[donor].active.pop_back().expect("donor has >= 2");
-            let task = RankTask {
-                rank: a.rank,
-                tenant: a.tenant,
-                fs: a.fs,
-                machine: a.machine,
-            };
-            if inboxes[thief].push(task).is_err() {
-                unreachable!("steal target inbox ring overflow");
-            }
-            shards[thief].stats.steals += 1;
-            shards[thief].stats.steal_ns += t.elapsed().as_nanos() as u64;
-        }
-    }
-
-    /// One scoped OS thread per reactor; each runs its shard to
-    /// completion. No cross-shard stealing here — disjoint ownership
-    /// means no shared state to guard, and the skew the deterministic
-    /// mode steals away is bounded by the round-robin distribution.
-    fn run_threaded<F: Send, R: Send>(&self, shards: &mut [Shard<F, R>]) {
-        let qos = self.qos.as_ref();
-        let n = self.n;
-        std::thread::scope(|scope| {
-            for shard in shards.iter_mut() {
-                scope.spawn(move || {
-                    shard.drain_inbox();
-                    let mut round: u64 = 0;
-                    while !shard.active.is_empty() {
-                        round += 1;
-                        if !shard.run_round(qos, n, round) {
-                            // Everything resident is throttled: the shard
-                            // is idle until the next refill.
-                            let t = Instant::now();
-                            std::thread::yield_now();
-                            shard.stats.idle_ns += t.elapsed().as_nanos() as u64;
-                        }
-                    }
-                });
-            }
-        });
+    /// Run `f` once per item as one-shot tasks, returning the results in
+    /// item order. Items may borrow from the caller (`&mut` slots
+    /// included): every task retires before `map` returns.
+    pub fn map<T, R, G>(&self, items: Vec<T>, f: G) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        G: Fn(T) -> R + Sync,
+    {
+        let f = &f;
+        let tasks: Vec<RankTask<'_, (), R>> = items
+            .into_iter()
+            .enumerate()
+            .map(|(i, item)| RankTask {
+                rank: i as u32,
+                tenant: 0,
+                fs: (),
+                machine: Box::new(FnMachine::new(move |_, _: &mut ()| Ok(f(item)))),
+            })
+            .collect();
+        self.drive(tasks)
+            .results
+            .into_iter()
+            .map(|r| r.result.expect("one-shot tasks cannot fail"))
+            .collect()
     }
 }
 
@@ -734,7 +512,7 @@ mod tests {
         }
     }
 
-    fn counter_tasks(spec: &[(u32, u32, u64)]) -> Vec<RankTask<u64, u64>> {
+    fn counter_tasks(spec: &[(u32, u32, u64)]) -> Vec<RankTask<'static, u64, u64>> {
         spec.iter()
             .map(|&(rank, steps, cost)| RankTask {
                 rank,
@@ -745,110 +523,52 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn ring_roundtrips_in_order_and_bounds() {
-        let (mut tx, mut rx) = spsc_ring::<u32>(4);
-        assert!(tx.is_empty());
-        for i in 0..4 {
-            tx.push(i).unwrap();
-        }
-        assert_eq!(tx.push(99), Err(99), "full ring must refuse");
-        assert_eq!(rx.len(), 4);
-        for i in 0..4 {
-            assert_eq!(rx.pop(), Some(i));
-        }
-        assert_eq!(rx.pop(), None);
-        // Wrap-around: indices keep climbing past the capacity.
-        for round in 0..10u32 {
-            tx.push(round).unwrap();
-            assert_eq!(rx.pop(), Some(round));
-        }
-    }
-
-    #[test]
-    fn ring_drops_unconsumed_items() {
-        let payload = Arc::new(());
-        let (mut tx, rx) = spsc_ring::<Arc<()>>(8);
-        for _ in 0..5 {
-            tx.push(Arc::clone(&payload)).unwrap();
-        }
-        drop(tx);
-        drop(rx);
-        assert_eq!(Arc::strong_count(&payload), 1, "ring must drop its items");
-    }
-
-    #[test]
-    fn ring_crosses_threads() {
-        let (mut tx, mut rx) = spsc_ring::<u64>(16);
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                for i in 0..1000u64 {
-                    let mut item = i;
-                    loop {
-                        match tx.push(item) {
-                            Ok(()) => break,
-                            Err(back) => item = back,
-                        }
-                    }
-                }
-            });
-            s.spawn(move || {
-                let mut expect = 0u64;
-                while expect < 1000 {
-                    if let Some(v) = rx.pop() {
-                        assert_eq!(v, expect, "FIFO order across threads");
-                        expect += 1;
-                    }
-                }
-            });
-        });
+    fn pool(reactors: usize, t: &Telemetry) -> ReactorPool {
+        ReactorPool::new(
+            &ReactorConfig {
+                reactors,
+                qos: None,
+            },
+            t,
+        )
     }
 
     #[test]
     fn deterministic_drive_completes_and_repeats_exactly() {
-        let t = Telemetry::new();
-        let pool = ReactorPool::new(
-            &ReactorConfig {
-                reactors: 3,
-                ..ReactorConfig::default()
-            },
-            &t,
-        );
         let spec: Vec<(u32, u32, u64)> = (0..17).map(|r| (r, 1 + r % 5, 1)).collect();
-        let run = || {
-            let out = pool.drive(counter_tasks(&spec));
-            assert!(out.error.is_none());
-            out.results
-                .iter()
-                .map(|r| (r.rank, r.result.unwrap(), r.done_round))
-                .collect::<Vec<_>>()
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "same tasks must retire in identical rounds");
-        assert_eq!(a.len(), 17);
-        for (rank, steps, _) in &a {
-            assert_eq!(*steps, u64::from(1 + rank % 5));
-        }
         let total_steps: u64 = spec.iter().map(|&(_, s, _)| u64::from(s)).sum();
-        let snap = t.snapshot();
-        assert_eq!(snap.counter("reactor.events"), 2 * total_steps);
-        assert!(snap.counter("reactor.loops") > 0);
+        // One reactor is the inline drive; three run on threads. A
+        // reactor's rounds depend only on the tasks dealt to it, so both
+        // widths retire every task in the same round run after run.
+        for reactors in [1, 3] {
+            let t = Telemetry::new();
+            let pool = pool(reactors, &t);
+            let run = || {
+                let out = pool.drive(counter_tasks(&spec));
+                assert!(out.error.is_none());
+                out.results
+                    .iter()
+                    .map(|r| (r.rank, r.result.unwrap(), r.done_round))
+                    .collect::<Vec<_>>()
+            };
+            let a = run();
+            let b = run();
+            assert_eq!(a, b, "same tasks must retire in identical rounds");
+            assert_eq!(a.len(), 17);
+            for (rank, steps, _) in &a {
+                assert_eq!(*steps, u64::from(1 + rank % 5));
+            }
+            let snap = t.snapshot();
+            assert_eq!(snap.counter("reactor.events"), 2 * total_steps);
+            assert!(snap.counter("reactor.loops") > 0);
+        }
     }
 
     #[test]
     fn threaded_drive_completes_all_tasks() {
         let t = Telemetry::new();
-        let pool = ReactorPool::new(
-            &ReactorConfig {
-                reactors: 4,
-                mode: ReactorMode::Threaded,
-                ..ReactorConfig::default()
-            },
-            &t,
-        );
         let spec: Vec<(u32, u32, u64)> = (0..64).map(|r| (r, 3, 1)).collect();
-        let out = pool.drive(counter_tasks(&spec));
+        let out = pool(4, &t).drive(counter_tasks(&spec));
         assert!(out.error.is_none());
         assert_eq!(out.results.len(), 64);
         assert!(out.results.iter().all(|r| r.result == Some(3)));
@@ -856,27 +576,32 @@ mod tests {
     }
 
     #[test]
-    fn idle_reactor_steals_from_loaded_shard() {
-        let t = Telemetry::new();
-        let pool = ReactorPool::new(
-            &ReactorConfig {
-                reactors: 2,
-                ..ReactorConfig::default()
-            },
-            &t,
-        );
-        // Reactor 0 gets the two long tasks (ranks 0, 2), reactor 1 two
-        // trivial ones: once 1 drains, it must pull a task across.
-        let out = pool.drive(counter_tasks(&[
-            (0, 400, 1),
-            (1, 1, 1),
-            (2, 400, 1),
-            (3, 1, 1),
-        ]));
-        assert!(out.error.is_none());
-        assert_eq!(out.results.len(), 4);
-        assert!(out.stats.steals >= 1, "idle reactor must steal");
-        assert_eq!(t.snapshot().counter("reactor.events"), 802);
+    fn threaded_pool_runs_on_multiple_threads() {
+        let caller = std::thread::current().id();
+        let ids =
+            pool(2, &Telemetry::new()).map((0..8).collect(), |_: u32| std::thread::current().id());
+        let distinct: std::collections::HashSet<_> = ids.iter().collect();
+        assert_eq!(distinct.len(), 2, "two reactors must use two threads");
+        assert!(ids.iter().all(|&id| id != caller));
+        // One reactor runs inline on the caller.
+        let inline = pool(1, &Telemetry::new()).map(vec![0u32; 4], |_| std::thread::current().id());
+        assert!(inline.iter().all(|&id| id == caller));
+    }
+
+    #[test]
+    fn map_preserves_item_order() {
+        for reactors in [1, 3] {
+            let out = pool(reactors, &Telemetry::new()).map((0..100u64).collect(), |x| x * x);
+            assert_eq!(out, (0..100u64).map(|x| x * x).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn map_mutates_borrowed_items_in_place() {
+        let mut v: Vec<u64> = (0..50).collect();
+        let offset = 7;
+        pool(2, &Telemetry::new()).map(v.iter_mut().collect(), |x| *x += offset);
+        assert_eq!(v, (7..57).collect::<Vec<_>>());
     }
 
     #[test]
@@ -888,14 +613,6 @@ mod tests {
                 Err(RuntimeError::BadRank(r))
             }
         }
-        let t = Telemetry::new();
-        let pool = ReactorPool::new(
-            &ReactorConfig {
-                reactors: 2,
-                ..ReactorConfig::default()
-            },
-            &t,
-        );
         let mut tasks = counter_tasks(&[(0, 2, 1), (2, 2, 1)]);
         tasks.push(RankTask {
             rank: 1,
@@ -903,7 +620,7 @@ mod tests {
             fs: 0,
             machine: Box::new(Fail),
         });
-        let out = pool.drive(tasks);
+        let out = pool(2, &Telemetry::new()).drive(tasks);
         assert!(matches!(out.error, Some(RuntimeError::BadRank(1))));
         assert_eq!(out.results.len(), 3, "every fs comes back, even failed");
         let failed = out.results.iter().find(|r| r.rank == 1).unwrap();
@@ -922,7 +639,6 @@ mod tests {
                     burst: 8,
                     overrides: vec![],
                 }),
-                ..ReactorConfig::default()
             },
             &t,
         );

@@ -8,12 +8,9 @@
 //! tears down. `crash_rank`/`recover_rank` exercise the paper's recovery
 //! story over real bytes.
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
-
-use rayon::prelude::*;
 
 use cluster::{FailureDomains, JobAllocation, NodeId, NodeKind, Topology};
 use fabric::{Initiator, NvmfTarget};
@@ -25,52 +22,27 @@ use telemetry::Telemetry;
 use crate::balancer::{BalanceError, Placement, StorageBalancer};
 use crate::config::RuntimeConfig;
 use crate::dataplane::NvmfBlockDevice;
-use crate::reactor::{FnMachine, RankMachine, RankTask, ReactorConfig, ReactorPool};
+use crate::reactor::{RankMachine, RankTask, ReactorConfig, ReactorPool};
 use crate::replication::{self, Mirror, ReplicationError, ScrubReport};
 
 /// Smallest per-rank segment we accept (microfs needs room for its log,
 /// snapshot slots, and data region).
 pub const MIN_SEGMENT: u64 = 16 << 20;
 
-thread_local! {
-    /// Set while this thread is a worker inside a parallel rank drive.
-    /// Nested drives — recovery or failover running inside a parallel
-    /// closure — used to open a second rayon scope from each worker,
-    /// multiplying threads; with the guard they run inline on the worker
-    /// that is already part of the one sized pool.
-    static IN_PAR_DRIVE: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Run `f` over `items` on the shared sized worker pool. If the calling
-/// thread is itself a drive worker (a nested call), the items run inline
-/// sequentially instead of fanning out — one pool's worth of threads,
-/// regardless of nesting depth.
-pub(crate) fn par_ranks<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
+/// Run `f` once per item on a reactor pool `config.reactors` wide that
+/// publishes to the runtime's telemetry, collecting results in item
+/// order. Called from inside another drive's task, it runs inline.
+pub(crate) fn par_ranks<T, R, F>(config: &RuntimeConfig, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    if IN_PAR_DRIVE.with(Cell::get) {
-        return items.into_iter().map(f).collect();
-    }
-    items
-        .into_par_iter()
-        .map(|t| {
-            /// Clears the worker flag even if `f` panics (the pool's
-            /// threads outlive one drive only in tests, but a stale flag
-            /// would serialize every later drive on that thread).
-            struct Reset;
-            impl Drop for Reset {
-                fn drop(&mut self) {
-                    IN_PAR_DRIVE.with(|c| c.set(false));
-                }
-            }
-            IN_PAR_DRIVE.with(|c| c.set(true));
-            let _reset = Reset;
-            f(t)
-        })
-        .collect()
+    let reactor = ReactorConfig {
+        reactors: config.reactors as usize,
+        qos: None,
+    };
+    ReactorPool::new(&reactor, &config.telemetry).map(items, f)
 }
 
 /// Runtime failures.
@@ -455,7 +427,7 @@ impl NvmeCrRuntime {
         // are fully independent (own connection, own namespace shard, own
         // filesystem), so format in parallel.
         let init_rank_ns = config.telemetry.histogram("driver.init_rank_ns");
-        let ranks = par_ranks(placement.per_rank.clone(), |p| {
+        let ranks = par_ranks(&config, placement.per_rank.clone(), |p| {
             let _span = telemetry::span("driver", "init_rank").arg("rank", u64::from(p.rank));
             let _rank = telemetry::context::with_rank(u64::from(p.rank));
             let _t = init_rank_ns.time();
@@ -515,14 +487,10 @@ impl NvmeCrRuntime {
         let slots: Vec<(usize, &mut Option<MicroFs<NvmfBlockDevice>>)> =
             self.ranks.iter_mut().enumerate().collect();
         let results: Vec<Result<Option<R>, RuntimeError>> =
-            par_ranks(slots, |(rank, slot)| match slot.as_mut() {
-                Some(fs) => {
-                    // Rank trace context: every flight-recorder event below
-                    // this frame (fabric, ssd, microfs, replication) is
-                    // stamped with the driving rank.
-                    let _rank = telemetry::context::with_rank(rank as u64);
-                    f(rank as u32, fs).map(Some)
-                }
+            par_ranks(&self.config, slots, |(rank, slot)| match slot.as_mut() {
+                // Slot i is task i, so the drive already stamps every
+                // flight-recorder event below this frame with the rank.
+                Some(fs) => f(rank as u32, fs).map(Some),
                 None => Ok(None),
             });
         let mut out = Vec::with_capacity(results.len());
@@ -556,7 +524,7 @@ impl NvmeCrRuntime {
     /// ranks stay mounted on error.
     ///
     /// [`map_ranks_par`]: NvmeCrRuntime::map_ranks_par
-    pub fn drive_reactor<R, B>(
+    pub fn drive_reactor<'a, R, B>(
         &mut self,
         reactor: &ReactorConfig,
         tenant_of: impl Fn(u32) -> u32,
@@ -564,7 +532,7 @@ impl NvmeCrRuntime {
     ) -> Result<Vec<R>, RuntimeError>
     where
         R: Send,
-        B: Fn(u32) -> Box<dyn RankMachine<MicroFs<NvmfBlockDevice>, Out = R>>,
+        B: Fn(u32) -> Box<dyn RankMachine<MicroFs<NvmfBlockDevice>, Out = R> + 'a>,
     {
         let mut cfg = reactor.clone();
         if cfg.reactors == 0 {
@@ -587,7 +555,7 @@ impl NvmeCrRuntime {
         let mut out = Vec::new();
         for r in outcome.results {
             // Reinstall unconditionally: a failed machine leaves its rank
-            // mounted, exactly like an Err from a rayon-driven closure.
+            // mounted, exactly like an Err from a `map_ranks_par` closure.
             self.ranks[r.rank as usize] = Some(r.fs);
             if let Some(v) = r.result {
                 out.push(v);
@@ -597,35 +565,6 @@ impl NvmeCrRuntime {
             None => Ok(out),
             Some(e) => Err(e),
         }
-    }
-
-    /// [`map_ranks_par`](NvmeCrRuntime::map_ranks_par) on the reactor
-    /// pool: each rank's closure runs as a one-shot state machine (a
-    /// single `step` to completion), so existing whole-rank operations can
-    /// ride the reactor data plane unchanged.
-    pub fn map_ranks_reactor<R, F>(
-        &mut self,
-        reactor: &ReactorConfig,
-        f: F,
-    ) -> Result<Vec<R>, RuntimeError>
-    where
-        R: Send + 'static,
-        F: Fn(u32, &mut MicroFs<NvmfBlockDevice>) -> Result<R, RuntimeError>
-            + Send
-            + Sync
-            + 'static,
-    {
-        let f = std::sync::Arc::new(f);
-        self.drive_reactor(
-            reactor,
-            |_| 0,
-            move |_| {
-                let f = std::sync::Arc::clone(&f);
-                Box::new(FnMachine::new(
-                    move |rank, fs: &mut MicroFs<NvmfBlockDevice>| f(rank, fs),
-                ))
-            },
-        )
     }
 
     /// One rank's current storage route (supervisor-internal).
@@ -703,7 +642,7 @@ impl NvmeCrRuntime {
         let config = &self.config;
         let recover_rank_ns = config.telemetry.histogram("driver.recover_rank_ns");
         let mounted: Vec<(u32, Result<MicroFs<NvmfBlockDevice>, RuntimeError>)> =
-            par_ranks(jobs, |(rank, route)| {
+            par_ranks(config, jobs, |(rank, route)| {
                 let _span = telemetry::span("driver", "recover_rank").arg("rank", u64::from(rank));
                 let _rank = telemetry::context::with_rank(u64::from(rank));
                 let _t = recover_rank_ns.time();
@@ -1043,7 +982,7 @@ impl NvmeCrRuntime {
         // init-time formatting.
         let restart_rank_ns = handle.config.telemetry.histogram("driver.restart_rank_ns");
         let jobs: Vec<(usize, RankRoute)> = handle.routes.iter().cloned().enumerate().collect();
-        let ranks = par_ranks(jobs, |(rank, route)| {
+        let ranks = par_ranks(&handle.config, jobs, |(rank, route)| {
             let _span = telemetry::span("driver", "restart_rank").arg("rank", rank as u64);
             let _rank = telemetry::context::with_rank(rank as u64);
             let _t = restart_rank_ns.time();
@@ -1100,6 +1039,7 @@ impl NvmeCrRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reactor::FnMachine;
     use cluster::{JobRequest, Scheduler};
     use microfs::OpenFlags;
 
@@ -1622,31 +1562,59 @@ mod tests {
         assert_eq!(free_before, free_after);
     }
 
+    /// Counts units of work in flight and keeps the high-water mark.
+    #[derive(Default)]
+    struct InFlight {
+        active: std::sync::atomic::AtomicUsize,
+        high: std::sync::atomic::AtomicUsize,
+    }
+
+    impl InFlight {
+        fn unit(&self) {
+            use std::sync::atomic::Ordering::SeqCst;
+            let now = self.active.fetch_add(1, SeqCst) + 1;
+            self.high.fetch_max(now, SeqCst);
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            self.active.fetch_sub(1, SeqCst);
+        }
+    }
+
     #[test]
     fn nested_par_ranks_shares_one_pool() {
-        // Satellite fix: recovery running inside a parallel drive must not
-        // stack a second rayon wave on top of the first. The inner
-        // par_ranks call below runs inline on the already-pooled worker,
-        // so the innermost units in flight never exceed the pool width.
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let cap = rayon::current_num_threads();
-        let active = AtomicUsize::new(0);
-        let high = AtomicUsize::new(0);
-        let outer: Vec<u32> = (0..16).collect();
-        par_ranks(outer, |_| {
-            let inner: Vec<u32> = (0..16).collect();
-            par_ranks(inner, |_| {
-                let now = active.fetch_add(1, Ordering::SeqCst) + 1;
-                high.fetch_max(now, Ordering::SeqCst);
-                std::thread::sleep(std::time::Duration::from_millis(1));
-                active.fetch_sub(1, Ordering::SeqCst);
-            });
+        // Recovery running inside a parallel drive must not stack a second
+        // wave of reactor threads on the first: the inner drive runs inline
+        // on the worker already executing the outer task, so the innermost
+        // units in flight never exceed the pool width.
+        let (rack, topo, alloc, mut config) = small_setup(8);
+        config.reactors = 4;
+        let one_shot = InFlight::default();
+        par_ranks(&config, (0..16).collect(), |_: u32| {
+            par_ranks(&config, (0..16).collect(), |_: u32| one_shot.unit());
         });
-        let high = high.load(Ordering::SeqCst);
-        assert!(
-            high <= cap,
-            "nested par_ranks oversubscribed: {high} concurrent units > {cap} pool threads"
-        );
+        // The same holds when the outer task is a machine on a threaded
+        // `drive_reactor`, not a one-shot fan-out.
+        let in_machine = InFlight::default();
+        let mut rt = NvmeCrRuntime::init(&rack, &topo, &alloc, config.clone()).unwrap();
+        rt.drive_reactor(
+            &ReactorConfig::default(),
+            |_| 0,
+            |_| {
+                Box::new(FnMachine::new(
+                    |_: u32, _: &mut MicroFs<NvmfBlockDevice>| {
+                        par_ranks(&config, (0..16).collect(), |_: u32| in_machine.unit());
+                        Ok(())
+                    },
+                ))
+            },
+        )
+        .unwrap();
+        for (outer, probe) in [("par_ranks", &one_shot), ("drive_reactor", &in_machine)] {
+            let high = probe.high.load(std::sync::atomic::Ordering::SeqCst);
+            assert!(
+                high <= 4,
+                "drive nested in {outer} oversubscribed: {high} concurrent units > 4 reactors"
+            );
+        }
     }
 
     #[test]
@@ -1656,15 +1624,23 @@ mod tests {
         let mut rt = NvmeCrRuntime::init(&rack, &topo, &alloc, config).unwrap();
         let reactor = ReactorConfig {
             reactors: 4,
-            ..ReactorConfig::default()
+            qos: None,
         };
         let written = rt
-            .map_ranks_reactor(&reactor, |rank, fs| {
-                let fd = fs.create(&format!("/reactor_rank{rank}.dat"), 0o644)?;
-                fs.write(fd, &vec![rank as u8; 64 << 10])?;
-                fs.close(fd)?;
-                Ok(64u64 << 10)
-            })
+            .drive_reactor(
+                &reactor,
+                |_| 0,
+                |_| {
+                    Box::new(FnMachine::new(
+                        |rank: u32, fs: &mut MicroFs<NvmfBlockDevice>| {
+                            let fd = fs.create(&format!("/reactor_rank{rank}.dat"), 0o644)?;
+                            fs.write(fd, &vec![rank as u8; 64 << 10])?;
+                            fs.close(fd)?;
+                            Ok(64u64 << 10)
+                        },
+                    ))
+                },
+            )
             .unwrap();
         assert_eq!(written.len(), 56);
         assert!(telemetry.counter("reactor.events").get() >= 56);
@@ -1687,9 +1663,20 @@ mod tests {
         let telemetry = config.telemetry.clone();
         let mut rt = NvmeCrRuntime::init(&rack, &topo, &alloc, config).unwrap();
         let out = rt
-            .map_ranks_reactor(&ReactorConfig::default(), |rank, _fs| Ok(rank))
+            .drive_reactor(
+                &ReactorConfig::default(),
+                |_| 0,
+                |_| {
+                    Box::new(FnMachine::new(
+                        |rank: u32, _: &mut MicroFs<NvmfBlockDevice>| Ok(rank),
+                    ))
+                },
+            )
             .unwrap();
         assert_eq!(out, (0..28).collect::<Vec<_>>());
-        assert!(telemetry.counter("reactor.events").get() >= 28);
+        assert_eq!(telemetry.counter("reactor.events").get(), 2 * 28);
+        // Init and the drive each ran on two reactors, and a one-shot
+        // task retires in its reactor's first round.
+        assert_eq!(telemetry.counter("reactor.loops").get(), 2 * 2);
     }
 }

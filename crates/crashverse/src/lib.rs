@@ -40,6 +40,8 @@
 //! reported with a replay command line that pins seed, crash index, and
 //! config fingerprint.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -47,8 +49,7 @@ use chaos::{ChaosHandle, CrashOp, RecoveryOp, CRASH_OP_KINDS, RECOVERY_OP_KINDS}
 use cluster::{JobRequest, Scheduler, Topology};
 use microfs::OpenFlags;
 use nvmecr::runtime::{NvmeCrRuntime, StorageRack};
-use nvmecr::{RecoveryPolicy, RecoverySupervisor, RuntimeConfig};
-use rayon::prelude::*;
+use nvmecr::{ReactorConfig, ReactorPool, RecoveryPolicy, RecoverySupervisor, RuntimeConfig};
 use simkit::rng::{derive_seed, pattern_fill};
 use ssd::SsdConfig;
 use telemetry::{FlightKind, Telemetry};
@@ -779,11 +780,12 @@ pub fn explore(cfg: &UniverseConfig, telemetry: &Telemetry) -> Result<UniverseRe
         shrink_steps: 0,
     };
     // Points are fully independent — each builds its own stack from
-    // scratch — so the scan fans out across threads. Verdicts are
+    // scratch — so the scan fans out across the reactor pool. Verdicts are
     // per-point deterministic, and the report is assembled in ascending
     // index order, so parallel execution changes nothing observable.
     let indices: Vec<u64> = (0..total).step_by(stride as usize).collect();
-    let points: Vec<PointVerdict> = indices.par_iter().map(|&k| run_point(cfg, k)).collect();
+    let pool = ReactorPool::new(&ReactorConfig::default(), telemetry);
+    let points: Vec<PointVerdict> = pool.map(indices.clone(), |k| run_point(cfg, k));
     for (i, v) in points.iter().enumerate() {
         report.points_run += 1;
         points_counter.inc();
@@ -1064,12 +1066,13 @@ pub fn explore_nested(
         failures: Vec::new(),
     };
     // Outer points are independent (each nested run rebuilds the whole
-    // stack), so the grid fans out across threads per outer index; each
-    // inner scan stays serial for the deterministic nested op order.
+    // stack), so the grid fans out across the reactor pool per outer
+    // index; each inner scan stays serial for the deterministic nested op
+    // order.
     type Column = (Option<String>, [u64; RECOVERY_OP_KINDS], Vec<NestedVerdict>);
-    let columns: Vec<Column> = outer_ks
-        .par_iter()
-        .map(|&k| match count_recovery_universe(cfg, k) {
+    let pool = ReactorPool::new(&ReactorConfig::default(), telemetry);
+    let columns: Vec<Column> = pool.map(outer_ks.clone(), |k| {
+        match count_recovery_universe(cfg, k) {
             Err(e) => (Some(e), [0; RECOVERY_OP_KINDS], Vec::new()),
             Ok((None, _)) => (None, [0; RECOVERY_OP_KINDS], Vec::new()),
             Ok((Some(_), rec)) => {
@@ -1081,8 +1084,8 @@ pub fn explore_nested(
                     .collect();
                 (None, rec.per_kind, verdicts)
             }
-        })
-        .collect();
+        }
+    });
     for (i, (err, per_kind, verdicts)) in columns.into_iter().enumerate() {
         if let Some(e) = err {
             return Err(format!("outer {} column failed: {e}", outer_ks[i]));

@@ -21,6 +21,8 @@
 //!   prices the RDMA fabric itself (per-message CPU, propagation by hop
 //!   count, link bandwidth) for the `simkit` DAGs.
 
+#![forbid(unsafe_code)]
+
 pub mod capsule;
 pub mod config;
 pub mod initiator;

@@ -45,6 +45,8 @@
 //! assert!(result.completion(a) <= result.completion(b));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod queue;
 pub mod resource;
 pub mod rng;

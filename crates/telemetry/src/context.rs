@@ -1,7 +1,7 @@
 //! Causal trace context: the rank and checkpoint epoch a thread is
 //! currently working on behalf of.
 //!
-//! The runtime drives ranks with rayon closures and every layer below the
+//! The runtime drives ranks on reactor threads and every layer below the
 //! driver (initiator, target poll, ssd shard, microfs WAL, replication
 //! mirror) runs inline on the same worker thread, so a thread-local pair
 //! of cells is enough to propagate the (rank, epoch) half of a command's

@@ -30,6 +30,7 @@
 //! private [`Telemetry::new`] so parallel tests never share counters.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod context;
 pub mod json;

@@ -163,23 +163,6 @@ impl FunctionalReport {
     }
 }
 
-/// How the per-rank phases of a functional run are driven.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DriveMode {
-    /// One rank at a time, in rank order.
-    Serial,
-    /// All ranks concurrently on a rayon pool (each rank owns its
-    /// filesystem, connection, and namespace shard, so this shares no
-    /// data-plane lock across ranks).
-    Parallel,
-    /// All ranks multiplexed onto the shard-per-core reactor pool
-    /// ([`nvmecr::ReactorPool`]): each rank is a state machine advanced
-    /// one submission-window chunk per step, so rank count decouples from
-    /// thread count. Storage semantics are identical to `Parallel` — the
-    /// chaos parity test holds the two modes byte-for-byte equal.
-    Reactor,
-}
-
 /// Write rank `rank`'s checkpoint `ckpt` into its filesystem. Payload
 /// generation happens here so parallel driving parallelises it too.
 fn checkpoint_rank(
@@ -204,80 +187,6 @@ fn checkpoint_rank(
     fs.fsync(fd)?;
     fs.close(fd)?;
     Ok(())
-}
-
-/// One rank's checkpoint as a reactor state machine: the exact operation
-/// sequence of [`checkpoint_rank`] — mkdirs, create, 1 MiB writes, fsync,
-/// close — cut at write-chunk boundaries so a reactor advances many ranks'
-/// checkpoints concurrently on one core. Byte-for-byte the same storage
-/// traffic as the blocking path.
-struct CkptMachine {
-    comd: CoMD,
-    ckpt: u32,
-    bytes_per_rank: u64,
-    ckpt_rank_ns: std::sync::Arc<telemetry::Histogram>,
-    state: CkptState,
-}
-
-enum CkptState {
-    Start,
-    Writing {
-        fd: u32,
-        payload: Vec<u8>,
-        off: usize,
-        started: std::time::Instant,
-    },
-}
-
-impl nvmecr::RankMachine<microfs::MicroFs<nvmecr::dataplane::NvmfBlockDevice>> for CkptMachine {
-    type Out = ();
-
-    fn step(
-        &mut self,
-        rank: u32,
-        fs: &mut microfs::MicroFs<nvmecr::dataplane::NvmfBlockDevice>,
-    ) -> Result<nvmecr::MachineStep<()>, nvmecr::runtime::RuntimeError> {
-        let write_size = 1usize << 20;
-        match &mut self.state {
-            CkptState::Start => {
-                let started = std::time::Instant::now();
-                if self.ckpt == 0 {
-                    fs.mkdir("/comd", 0o755).ok();
-                }
-                fs.mkdir(&format!("/comd/ckpt_{:03}", self.ckpt), 0o755)?;
-                let payload =
-                    self.comd
-                        .checkpoint_payload(rank, self.ckpt, self.bytes_per_rank as usize);
-                let path = CoMD::checkpoint_path(rank, self.ckpt);
-                let fd = fs.create(&path, 0o644)?;
-                self.state = CkptState::Writing {
-                    fd,
-                    payload,
-                    off: 0,
-                    started,
-                };
-                Ok(nvmecr::MachineStep::Yield)
-            }
-            CkptState::Writing {
-                fd,
-                payload,
-                off,
-                started,
-            } => {
-                let end = (*off + write_size).min(payload.len());
-                fs.write(*fd, &payload[*off..end])?;
-                *off = end;
-                if *off < payload.len() {
-                    return Ok(nvmecr::MachineStep::Yield);
-                }
-                fs.fsync(*fd)?;
-                fs.close(*fd)?;
-                self.ckpt_rank_ns
-                    .record(started.elapsed().as_nanos() as u64);
-                Ok(nvmecr::MachineStep::Done(()))
-            }
-        }
-    }
 }
 
 /// Read back rank `rank`'s checkpoint `ckpt` and compare byte-for-byte.
@@ -310,20 +219,20 @@ fn verify_rank(
 /// Drive the full functional stack: schedule a job on the paper testbed,
 /// run `ckpts` N-N checkpoint rounds of `bytes_per_rank` each (CoMD-style
 /// payloads), crash `crash_ranks`, recover them, and verify every byte of
-/// the newest checkpoint. Drives ranks in parallel; use
-/// [`run_functional_checkpoints_with`] to pick the mode explicitly.
+/// the newest checkpoint. Ranks run on the runtime's reactor pool; use
+/// [`run_functional_checkpoints_tuned`] to set its width.
 pub fn run_functional_checkpoints(
     procs: u32,
     ckpts: u32,
     bytes_per_rank: u64,
     crash_ranks: &[u32],
 ) -> Result<FunctionalReport, Box<dyn std::error::Error>> {
-    run_functional_checkpoints_with(
-        DriveMode::Parallel,
+    run_functional_checkpoints_tuned(
         procs,
         ckpts,
         bytes_per_rank,
         crash_ranks,
+        FunctionalTuning::default(),
     )
 }
 
@@ -345,8 +254,9 @@ pub struct FunctionalTuning {
     /// full-manifest commit path; `n > 0` seals sparse delta manifests
     /// and compacts after at most `n` deltas.
     pub delta_chain_max: u32,
-    /// Reactors for [`DriveMode::Reactor`] (0 = one per available core).
-    /// Ignored by the other modes.
+    /// Width of the runtime's reactor pool ([`RuntimeConfig::reactors`]):
+    /// 0 = one reactor per available core, 1 = every rank inline on the
+    /// caller.
     pub reactors: u32,
 }
 
@@ -363,31 +273,10 @@ impl Default for FunctionalTuning {
     }
 }
 
-/// [`run_functional_checkpoints`] with an explicit [`DriveMode`] — the
-/// serial mode exists so benches can measure the parallel speedup against
-/// an identical-work baseline.
-pub fn run_functional_checkpoints_with(
-    mode: DriveMode,
-    procs: u32,
-    ckpts: u32,
-    bytes_per_rank: u64,
-    crash_ranks: &[u32],
-) -> Result<FunctionalReport, Box<dyn std::error::Error>> {
-    run_functional_checkpoints_tuned(
-        mode,
-        procs,
-        ckpts,
-        bytes_per_rank,
-        crash_ranks,
-        FunctionalTuning::default(),
-    )
-}
-
-/// [`run_functional_checkpoints_with`] plus explicit data-plane tuning —
+/// [`run_functional_checkpoints`] plus explicit data-plane tuning —
 /// the QD-sweep bench drives the same real-bytes stack at each window
 /// depth and reads `fabric.submit_ns` out of the report's telemetry.
 pub fn run_functional_checkpoints_tuned(
-    mode: DriveMode,
     procs: u32,
     ckpts: u32,
     bytes_per_rank: u64,
@@ -419,7 +308,6 @@ pub fn run_functional_checkpoints_tuned(
     };
     config.fabric.queue_depth = tuning.queue_depth;
     let mut rt = NvmeCrRuntime::init(&rack, &topo, &alloc, config)?;
-    let reactor_cfg = nvmecr::ReactorConfig::default();
     let comd = CoMD::weak_scaling();
     let ckpt_rank_ns = telemetry.histogram("driver.checkpoint_rank_ns");
     let verify_rank_ns = telemetry.histogram("driver.verify_rank_ns");
@@ -428,39 +316,13 @@ pub fn run_functional_checkpoints_tuned(
     // and (via the balancer) a disjoint region of a namespace shard, so
     // ranks can be driven concurrently without sharing a data-plane lock.
     for ckpt in 0..ckpts {
-        let do_ckpt = |rank: u32,
-                       fs: &mut microfs::MicroFs<nvmecr::dataplane::NvmfBlockDevice>|
-         -> Result<(), nvmecr::runtime::RuntimeError> {
+        rt.for_each_rank_par(|rank, fs| {
             let _span = telemetry::span("driver", "checkpoint_rank")
                 .arg("rank", u64::from(rank))
                 .arg("ckpt", u64::from(ckpt));
             let _t = ckpt_rank_ns.time();
             checkpoint_rank(&comd, fs, rank, ckpt, bytes_per_rank)
-        };
-        match mode {
-            DriveMode::Parallel => rt.for_each_rank_par(do_ckpt)?,
-            DriveMode::Serial => {
-                for rank in 0..procs {
-                    let fs = rt.rank_fs(rank)?;
-                    do_ckpt(rank, fs)?;
-                }
-            }
-            DriveMode::Reactor => {
-                rt.drive_reactor(
-                    &reactor_cfg,
-                    |_| 0,
-                    |_| {
-                        Box::new(CkptMachine {
-                            comd: comd.clone(),
-                            ckpt,
-                            bytes_per_rank,
-                            ckpt_rank_ns: ckpt_rank_ns.clone(),
-                            state: CkptState::Start,
-                        })
-                    },
-                )?;
-            }
-        }
+        })?;
         // Replicated runs seal one epoch per checkpoint round: manifests
         // land on both copies, so a failover restores this round exactly.
         if tuning.replication_factor >= 2 {
@@ -468,19 +330,12 @@ pub fn run_functional_checkpoints_tuned(
         }
     }
 
-    // Crash, then recover — batched in parallel mode (recovery mounts
-    // replay WALs independently per rank), one at a time in serial mode.
+    // Crash, then recover as one batch (recovery mounts replay WALs
+    // independently per rank).
     for &rank in crash_ranks {
         rt.crash_rank(rank)?;
     }
-    match mode {
-        DriveMode::Parallel | DriveMode::Reactor => rt.recover_ranks(crash_ranks)?,
-        DriveMode::Serial => {
-            for &rank in crash_ranks {
-                rt.recover_rank(rank)?;
-            }
-        }
-    }
+    rt.recover_ranks(crash_ranks)?;
     let mut replayed = 0;
     for &rank in crash_ranks {
         replayed += rt.rank_fs(rank)?.stats().replayed_records;
@@ -488,33 +343,11 @@ pub fn run_functional_checkpoints_tuned(
 
     // Verify the newest checkpoint everywhere (and recovered ranks fully).
     let last = ckpts - 1;
-    let do_verify = |rank: u32,
-                     fs: &mut microfs::MicroFs<nvmecr::dataplane::NvmfBlockDevice>|
-     -> Result<Option<u64>, nvmecr::runtime::RuntimeError> {
+    let verified = rt.map_ranks_par(|rank, fs| {
         let _span = telemetry::span("driver", "verify_rank").arg("rank", u64::from(rank));
         let _t = verify_rank_ns.time();
         verify_rank(&comd, fs, rank, last, bytes_per_rank)
-    };
-    let verified: Vec<Option<u64>> = match mode {
-        DriveMode::Parallel => rt.map_ranks_par(do_verify)?,
-        DriveMode::Serial => {
-            let mut out = Vec::with_capacity(procs as usize);
-            for rank in 0..procs {
-                let fs = rt.rank_fs(rank)?;
-                out.push(do_verify(rank, fs)?);
-            }
-            out
-        }
-        DriveMode::Reactor => {
-            let comd = comd.clone();
-            let verify_rank_ns = verify_rank_ns.clone();
-            rt.map_ranks_reactor(&reactor_cfg, move |rank, fs| {
-                let _span = telemetry::span("driver", "verify_rank").arg("rank", u64::from(rank));
-                let _t = verify_rank_ns.time();
-                verify_rank(&comd, fs, rank, last, bytes_per_rank)
-            })?
-        }
-    };
+    })?;
     let mut bytes_verified = 0u64;
     for (rank, v) in verified.iter().enumerate() {
         match v {
@@ -1012,11 +845,21 @@ mod tests {
         );
     }
 
+    /// One functional run with the runtime's pool `reactors` wide.
+    fn run_on(reactors: u32, ckpts: u32, bytes_per_rank: u64, crash: &[u32]) -> FunctionalReport {
+        let tuning = FunctionalTuning {
+            reactors,
+            ..FunctionalTuning::default()
+        };
+        run_functional_checkpoints_tuned(8, ckpts, bytes_per_rank, crash, tuning).unwrap()
+    }
+
     #[test]
     fn serial_and_parallel_modes_agree() {
-        let par =
-            run_functional_checkpoints_with(DriveMode::Parallel, 8, 1, 64 << 10, &[2]).unwrap();
-        let ser = run_functional_checkpoints_with(DriveMode::Serial, 8, 1, 64 << 10, &[2]).unwrap();
+        // One reactor drives every rank inline on the caller; four run
+        // on threads. The storage outcome must not tell them apart.
+        let par = run_on(4, 1, 64 << 10, &[2]);
+        let ser = run_on(1, 1, 64 << 10, &[2]);
         assert_eq!(par.bytes_verified, ser.bytes_verified);
         assert_eq!(par.replayed_records, ser.replayed_records);
         assert_eq!(par.metadata_bytes, ser.metadata_bytes);
@@ -1027,39 +870,26 @@ mod tests {
     #[test]
     fn reactor_mode_agrees_with_parallel_and_multiplexes_ranks() {
         // 8 ranks on 2 reactors: 4x more ranks than threads, yet the
-        // storage outcome is bit-equal to the thread-per-rank drive.
-        let tuning = FunctionalTuning {
-            reactors: 2,
-            ..FunctionalTuning::default()
-        };
-        let rea = run_functional_checkpoints_tuned(
-            DriveMode::Reactor,
-            8,
-            2,
-            256 << 10,
-            &[1, 5],
-            tuning.clone(),
-        )
-        .unwrap();
-        let par =
-            run_functional_checkpoints_tuned(DriveMode::Parallel, 8, 2, 256 << 10, &[1, 5], tuning)
-                .unwrap();
+        // storage outcome is bit-equal to one reactor thread per rank.
+        let rea = run_on(2, 2, 256 << 10, &[1, 5]);
+        let par = run_on(8, 2, 256 << 10, &[1, 5]);
         assert_eq!(rea.state_hash(), par.state_hash());
         assert_eq!(rea.bytes_verified, 8 * (256 << 10));
         assert_eq!(rea.replayed_records, par.replayed_records);
-        // The reactor pool actually ran: multiplexed events and loops.
-        assert!(rea.telemetry.counter("reactor.events") > 0);
-        assert!(rea.telemetry.counter("reactor.loops") > 0);
-        assert_eq!(par.telemetry.counter("reactor.events"), 0);
-        // 256 KiB in 1 MiB chunks is one write step + the open step, so
-        // each rank machine yields at least once per checkpoint.
-        assert!(rea.telemetry.counter("reactor.events") >= 8 * 2 * 2);
-        // Per-rank checkpoint latency is recorded in both modes alike.
-        let h = rea
-            .telemetry
-            .histogram("driver.checkpoint_rank_ns")
-            .unwrap();
-        assert_eq!(h.count, 8 * 2);
+        // Both drives stepped every rank task once; the narrow pool did
+        // it in fewer scheduling rounds, several ranks per round.
+        let events = rea.telemetry.counter("reactor.events");
+        assert_eq!(events, par.telemetry.counter("reactor.events"));
+        assert!(events >= 8 * 2);
+        assert!(rea.telemetry.counter("reactor.loops") < par.telemetry.counter("reactor.loops"));
+        // Per-rank checkpoint latency is recorded in both drives alike.
+        for report in [&rea, &par] {
+            let h = report
+                .telemetry
+                .histogram("driver.checkpoint_rank_ns")
+                .unwrap();
+            assert_eq!(h.count, 8 * 2);
+        }
     }
 
     #[test]

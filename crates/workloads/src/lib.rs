@@ -20,6 +20,8 @@
 //!   `nvmecr` + `microfs` + `fabric` + `ssd` stack with crash/recovery
 //!   verification.
 
+#![forbid(unsafe_code)]
+
 pub mod apps;
 pub mod comd;
 pub mod driver;
@@ -34,9 +36,9 @@ pub use apps::PhasedApp;
 pub use comd::CoMD;
 pub use driver::{
     multilevel_eval, run_functional_checkpoints, run_functional_checkpoints_tuned,
-    run_functional_checkpoints_with, run_incremental_checkpoints, scaling_sweep, DriveMode,
-    FunctionalReport, FunctionalTuning, IncrementalImage, IncrementalRunReport, IncrementalSpec,
-    IncrementalStrategy, MultiLevelResult, ScalingPoint, INCREMENTAL_CHUNK,
+    run_incremental_checkpoints, scaling_sweep, FunctionalReport, FunctionalTuning,
+    IncrementalImage, IncrementalRunReport, IncrementalSpec, IncrementalStrategy, MultiLevelResult,
+    ScalingPoint, INCREMENTAL_CHUNK,
 };
 pub use incremental::{IncrementalCheckpointer, IncrementalReport};
 pub use interval::{best_efficiency, daly_interval, young_interval};

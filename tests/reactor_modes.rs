@@ -1,9 +1,10 @@
-//! Reactor execution-model guarantees: determinism, chaos parity with the
-//! thread-per-rank drive, and QoS isolation between tenants.
+//! Reactor execution-model guarantees: determinism, chaos parity between
+//! the inline (one reactor) and threaded (N reactors) drives, and QoS
+//! isolation between tenants.
 //!
-//! The shard-per-core refactor is only safe if it is *unobservable* from
-//! the storage layer down: same bytes, same recovery, same flight-recorder
-//! story. These tests pin that down.
+//! The drive width is only safe to choose freely if it is *unobservable*
+//! from the storage layer down: same bytes, same recovery, same
+//! flight-recorder story. These tests pin that down.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -13,12 +14,12 @@ use cluster::{JobRequest, Scheduler, Topology};
 use microfs::OpenFlags;
 use nvmecr::runtime::{NvmeCrRuntime, StorageRack};
 use nvmecr::{
-    MachineStep, QosConfig, RankMachine, RankTask, ReactorConfig, ReactorMode, ReactorPool,
-    RuntimeConfig,
+    FnMachine, MachineStep, NvmfBlockDevice, QosConfig, RankMachine, RankTask, ReactorConfig,
+    ReactorPool, RuntimeConfig,
 };
 use ssd::SsdConfig;
 use telemetry::Telemetry;
-use workloads::driver::{run_functional_checkpoints_tuned, DriveMode, FunctionalTuning};
+use workloads::driver::{run_functional_checkpoints_tuned, FunctionalTuning};
 
 fn testbed(
     procs: u32,
@@ -61,9 +62,10 @@ fn pattern(rank: u32, len: usize) -> Vec<u8> {
 /// timestamp dropped and the `Complete` latency field masked.
 type EventTuple = (u64, u64, u64, u64, u64, u64, u64);
 
-/// One deterministic reactor drive: init with the recorder muted (rayon
-/// init interleaving is not deterministic), then checkpoint every rank
-/// through the single-threaded lockstep reactor with the recorder live.
+/// One deterministic reactor drive: init with the recorder muted (init
+/// runs on the default-width pool, whose thread interleaving is not
+/// deterministic), then checkpoint every rank through a one-reactor drive
+/// — inline on this thread — with the recorder live.
 /// Returns the recorder's event tuples (timestamps excluded) and the
 /// telemetry counters the drive published.
 fn recorded_reactor_run(procs: u32, payload: usize) -> (Vec<EventTuple>, u64) {
@@ -74,16 +76,23 @@ fn recorded_reactor_run(procs: u32, payload: usize) -> (Vec<EventTuple>, u64) {
     recorder.set_enabled(true);
     let reactor = ReactorConfig {
         reactors: 1,
-        mode: ReactorMode::Deterministic,
-        ..ReactorConfig::default()
+        qos: None,
     };
-    rt.map_ranks_reactor(&reactor, move |rank, fs| {
-        let fd = fs.create("/det.dat", 0o644)?;
-        fs.write(fd, &pattern(rank, payload))?;
-        fs.fsync(fd)?;
-        fs.close(fd)?;
-        Ok(())
-    })
+    rt.drive_reactor(
+        &reactor,
+        |_| 0,
+        |_| {
+            Box::new(FnMachine::new(
+                move |rank: u32, fs: &mut microfs::MicroFs<NvmfBlockDevice>| {
+                    let fd = fs.create("/det.dat", 0o644)?;
+                    fs.write(fd, &pattern(rank, payload))?;
+                    fs.fsync(fd)?;
+                    fs.close(fd)?;
+                    Ok(())
+                },
+            ))
+        },
+    )
     .unwrap();
     recorder.set_enabled(false);
     let events = recorder
@@ -126,20 +135,18 @@ fn reactor_functional_reports_hash_identically_across_runs() {
         reactors: 2,
         ..FunctionalTuning::default()
     };
-    let a =
-        run_functional_checkpoints_tuned(DriveMode::Reactor, 8, 2, 128 << 10, &[3], tuning.clone())
-            .unwrap();
-    let b = run_functional_checkpoints_tuned(DriveMode::Reactor, 8, 2, 128 << 10, &[3], tuning)
-        .unwrap();
+    let a = run_functional_checkpoints_tuned(8, 2, 128 << 10, &[3], tuning.clone()).unwrap();
+    let b = run_functional_checkpoints_tuned(8, 2, 128 << 10, &[3], tuning).unwrap();
     assert_eq!(a.state_hash(), b.state_hash());
     assert_eq!(a.bytes_verified, b.bytes_verified);
 }
 
-/// Chaos parity: under the same corruption + reset plan, the reactor drive
-/// must recover exactly the bytes the thread-per-rank drive recovers. Runs
-/// the identical workload through both drives against separately-seeded
-/// but identically-planned fault injectors, crashes ranks, recovers, and
-/// compares every recovered payload byte-for-byte.
+/// Chaos parity: under the same corruption + reset plan, the threaded drive
+/// (four reactors) must recover exactly the bytes the inline drive (one
+/// reactor) recovers. Runs the identical workload — init, checkpoint,
+/// crash, recovery — at both widths against separately-seeded but
+/// identically-planned fault injectors, and compares every recovered
+/// payload byte-for-byte.
 #[test]
 fn reactor_recovers_byte_identically_to_parallel_under_chaos() {
     let plan = || {
@@ -152,30 +159,20 @@ fn reactor_recovers_byte_identically_to_parallel_under_chaos() {
     let payload = 128usize << 10;
     let crash: Vec<u32> = vec![2, 9, 13];
 
-    let run = |reactor: bool| -> Vec<Vec<u8>> {
+    let run = |reactors: u32| -> Vec<Vec<u8>> {
         let chaos = ChaosHandle::new();
-        let (rack, topo, alloc, config, telemetry) = testbed(procs, chaos.clone());
+        let (rack, topo, alloc, mut config, telemetry) = testbed(procs, chaos.clone());
+        config.reactors = reactors;
         let mut rt = NvmeCrRuntime::init(&rack, &topo, &alloc, config).unwrap();
         chaos.arm(plan(), &telemetry);
-        let write = move |rank: u32,
-                          fs: &mut microfs::MicroFs<nvmecr::NvmfBlockDevice>|
-              -> Result<(), nvmecr::runtime::RuntimeError> {
+        rt.for_each_rank_par(|rank, fs| {
             let fd = fs.create("/chaos.dat", 0o644)?;
             fs.write(fd, &pattern(rank, payload))?;
             fs.fsync(fd)?;
             fs.close(fd)?;
             Ok(())
-        };
-        if reactor {
-            let cfg = ReactorConfig {
-                reactors: 2,
-                ..ReactorConfig::default()
-            };
-            rt.map_ranks_reactor(&cfg, move |rank, fs| write(rank, fs))
-                .unwrap();
-        } else {
-            rt.for_each_rank_par(write).unwrap();
-        }
+        })
+        .unwrap();
         chaos.disarm();
         for &r in &crash {
             rt.crash_rank(r).unwrap();
@@ -198,20 +195,20 @@ fn reactor_recovers_byte_identically_to_parallel_under_chaos() {
             .collect()
     };
 
-    let parallel = run(false);
-    let reactor = run(true);
+    let inline = run(1);
+    let threaded = run(4);
     for rank in 0..procs as usize {
         let expect = pattern(rank as u32, payload);
         assert_eq!(
-            parallel[rank], expect,
-            "parallel drive lost rank {rank} under chaos"
+            inline[rank], expect,
+            "inline drive lost rank {rank} under chaos"
         );
         assert_eq!(
-            reactor[rank], expect,
-            "reactor drive lost rank {rank} under chaos"
+            threaded[rank], expect,
+            "threaded drive lost rank {rank} under chaos"
         );
     }
-    assert_eq!(parallel, reactor);
+    assert_eq!(inline, threaded);
 }
 
 /// A synthetic rank machine: `steps` QoS-costed units, counting every
@@ -259,14 +256,7 @@ fn qos_caps_noisy_tenant_interference_at_ten_percent() {
     // quota every round — 10x the tenant's budget.
     let drive = |noisy_ranks: u32, qos: Option<QosConfig>| -> (u64, u64) {
         let clock = Arc::new(AtomicU64::new(0));
-        let pool = ReactorPool::new(
-            &ReactorConfig {
-                reactors: 1,
-                mode: ReactorMode::Deterministic,
-                qos,
-            },
-            &telemetry,
-        );
+        let pool = ReactorPool::new(&ReactorConfig { reactors: 1, qos }, &telemetry);
         let mut tasks: Vec<RankTask<(), u64>> = vec![RankTask {
             rank: 0,
             tenant: 0,
