@@ -25,7 +25,7 @@ use bytes::Bytes;
 use chaos::{ChaosHandle, CrashOp};
 use fabric::{write_mirrored_bytes, InitiatorError, MirroredWrite, NvmfConnection};
 use microfs::cow::IntervalSet;
-use microfs::crc::{crc32, crc32_update};
+use microfs::crc::{crc32, crc32_concat, crc32_update};
 use microfs::manifest::{
     EpochManifest, ExtentMap, ManifestError, ManifestExtent, ManifestLayout, COMMIT_RECORD_BYTES,
     MAX_DELTA_CHAIN, REGION_BYTES, SLOT_BYTES,
@@ -420,15 +420,23 @@ impl Mirror {
 
     /// Rebuild the extent map from the full primary image. Used after a
     /// crash or restart where the in-memory map is gone but the on-device
-    /// copies survive: chunked reads re-CRC the whole partition, and
-    /// adjacent chunks merge back into a handful of extents. `fs_size`
+    /// copies survive: chunked reads re-CRC the whole partition. `fs_size`
     /// is the partition size (the manifest region is excluded).
+    ///
+    /// The image is recorded in tiles of `rescan_tile` bytes, so a later
+    /// write or discard splits at most one tile per boundary and the next
+    /// commit re-reads at most that much from the primary. Under the
+    /// standard layout (unlimited merging) the tiles merge back into one
+    /// extent.
     pub fn rescan(
         &mut self,
         primary: &mut NvmfConnection,
         primary_base: u64,
         fs_size: u64,
     ) -> Result<(), InitiatorError> {
+        let tile = rescan_tile(self.map.merge_limit(), self.layout, fs_size);
+        let mut tile_start = 0u64;
+        let mut state = 0xFFFF_FFFFu32;
         let mut off = 0u64;
         while off < fs_size {
             if self.chaos.recovery_fire(chaos::RecoveryOp::RescanChunk) {
@@ -438,7 +446,19 @@ impl Mirror {
             }
             let len = COPY_CHUNK.min((fs_size - off) as usize);
             let data = primary.read_bytes(primary_base + off, len)?;
-            self.map.record(off, len as u64, crc32(&data));
+            let mut pos = off;
+            while pos < off + len as u64 {
+                let tile_end = (tile_start + tile).min(fs_size);
+                let end = tile_end.min(off + len as u64);
+                state = crc32_update(state, &data[(pos - off) as usize..(end - off) as usize]);
+                pos = end;
+                if pos == tile_end {
+                    self.map
+                        .record(tile_start, tile_end - tile_start, state ^ 0xFFFF_FFFF);
+                    tile_start = tile_end;
+                    state = 0xFFFF_FFFF;
+                }
+            }
             off += len as u64;
         }
         Ok(())
@@ -666,6 +686,19 @@ impl Mirror {
         drop(timer);
         Ok(report)
     }
+}
+
+/// Extent size [`Mirror::rescan`] records a recovered partition of
+/// `fs_size` bytes in: the map's merge limit, capped at one read chunk,
+/// doubled only as far as needed for a full manifest of the partition to
+/// fit one slot of `layout`.
+fn rescan_tile(merge_limit: u64, layout: ManifestLayout, fs_size: u64) -> u64 {
+    let max_extents = layout.max_full_extents() as u64;
+    let mut tile = merge_limit.min(COPY_CHUNK as u64);
+    while fs_size.div_ceil(tile) > max_extents {
+        tile *= 2;
+    }
+    tile
 }
 
 /// Streaming CRC32 of `[offset, offset + len)` on `conn`, chunked so a
@@ -1000,13 +1033,15 @@ fn restore_extents(
         }
         match crc {
             Some(expected) => {
-                let mut state = 0xFFFF_FFFFu32;
+                // Each chunk is checksummed once: the capsule reuses its
+                // CRC and the extent CRC is composed from the chunk CRCs.
+                let mut extent_crc = 0u32;
                 let mut done = 0u64;
                 while done < len {
                     let chunk = COPY_CHUNK.min((len - done) as usize);
                     let data = replica.read_bytes(offset + done, chunk)?;
-                    state = crc32_update(state, &data);
                     let chunk_crc = crc32(&data);
+                    extent_crc = crc32_concat(extent_crc, chunk_crc, chunk as u64);
                     primary.write_vectored_bytes_precrc(vec![(
                         primary_base + offset + done,
                         data,
@@ -1014,7 +1049,7 @@ fn restore_extents(
                     )])?;
                     done += chunk as u64;
                 }
-                if state ^ 0xFFFF_FFFF != expected {
+                if extent_crc != expected {
                     return Err(ReplicationError::Unrecoverable { offset, len });
                 }
             }
@@ -1049,21 +1084,26 @@ mod tests {
     use fabric::{Initiator, NvmfTarget};
     use ssd::{Ssd, SsdConfig};
 
+    /// A connection to a 64 MiB namespace on a fresh device, and the device.
+    fn conn_on_fresh_ssd(name: &str, t: &Telemetry) -> (NvmfConnection, Arc<Ssd>) {
+        let ssd = Arc::new(Ssd::with_telemetry(
+            SsdConfig {
+                capacity: 256 << 20,
+                ..SsdConfig::default()
+            },
+            t.clone(),
+        ));
+        let ns = ssd.create_namespace(64 << 20).unwrap();
+        let target = Arc::new(NvmfTarget::new(Arc::clone(&ssd)));
+        let conn = Initiator::with_telemetry(name, t.clone()).connect(target, ns);
+        (conn, ssd)
+    }
+
     fn conn_pair() -> (NvmfConnection, NvmfConnection, Telemetry) {
         let t = Telemetry::new();
-        let mk = |name: &str| {
-            let ssd = Ssd::with_telemetry(
-                SsdConfig {
-                    capacity: 256 << 20,
-                    ..SsdConfig::default()
-                },
-                t.clone(),
-            );
-            let ns = ssd.create_namespace(64 << 20).unwrap();
-            let target = Arc::new(NvmfTarget::new(Arc::new(ssd)));
-            Initiator::with_telemetry(name, t.clone()).connect(target, ns)
-        };
-        (mk("nqn.prim"), mk("nqn.repl"), t)
+        let (p, _) = conn_on_fresh_ssd("nqn.prim", &t);
+        let (r, _) = conn_on_fresh_ssd("nqn.repl", &t);
+        (p, r, t)
     }
 
     const FS: u64 = 32 << 20;
@@ -1241,6 +1281,101 @@ mod tests {
         let mut m = Mirror::new(r, &t);
         m.enable_delta_chain(max);
         (p, m, t)
+    }
+
+    /// A chained mirror whose primary device is handed back too, so a test
+    /// can watch the bytes read from it.
+    fn watched_chained_mirror(max: u32) -> (NvmfConnection, Arc<Ssd>, Mirror) {
+        let t = Telemetry::new();
+        let (p, ssd) = conn_on_fresh_ssd("nqn.prim", &t);
+        let (r, _) = conn_on_fresh_ssd("nqn.repl", &t);
+        let mut m = Mirror::new(r, &t);
+        m.enable_delta_chain(max);
+        (p, ssd, m)
+    }
+
+    /// Offsets of 256 KiB block-aligned overwrites, and of one 256 KiB
+    /// discard, none of them aligned to a 64 KiB tile.
+    const RESCAN_WRITES: [u64; 3] = [3 << 12, (5 << 20) + (3 << 12), (9 << 20) + (10 << 12)];
+    const RESCAN_DISCARD: u64 = (12 << 20) + (1 << 12);
+
+    #[test]
+    fn rescan_tiles_bound_commit_read_back_to_write_boundaries() {
+        const PART: u64 = 16 << 20;
+        let (mut p, ssd, mut m) = watched_chained_mirror(4);
+        m.rescan(&mut p, 0, PART).unwrap();
+        let tile = CHAIN_MERGE_LIMIT;
+        let data = Bytes::from(vec![0xC3u8; 256 << 10]);
+        for &off in &RESCAN_WRITES {
+            m.write_through(&mut p, 0, vec![(off, data.clone())])
+                .unwrap();
+        }
+        m.discard(RESCAN_DISCARD, 256 << 10);
+        let read_before = ssd.io_counters().3;
+        m.commit_epoch(&mut p, 0, PART).unwrap();
+        let read_back = ssd.io_counters().3 - read_before;
+        // Every write and the discard split at most one tile per boundary.
+        let boundaries = 2 * (RESCAN_WRITES.len() as u64 + 1);
+        assert!(read_back > 0, "split tiles must be re-read");
+        assert!(
+            read_back <= boundaries * tile,
+            "commit re-read {read_back} B for {boundaries} boundaries of {tile} B tiles"
+        );
+        assert!(m.map().dirty_fragments().is_empty());
+        let rep = m.scrub(&mut p, 0).unwrap();
+        assert_eq!((rep.repaired, rep.unrecoverable), (0, 0));
+    }
+
+    #[test]
+    fn rescan_tile_grows_only_until_the_manifest_fits() {
+        let chained = ManifestLayout::chained();
+        let max = chained.max_full_extents() as u64;
+        assert_eq!(rescan_tile(CHAIN_MERGE_LIMIT, chained, 16 << 20), 64 << 10);
+        assert_eq!(rescan_tile(CHAIN_MERGE_LIMIT, chained, max << 16), 64 << 10);
+        assert_eq!(
+            rescan_tile(CHAIN_MERGE_LIMIT, chained, (max << 16) + 1),
+            128 << 10
+        );
+        assert_eq!(rescan_tile(CHAIN_MERGE_LIMIT, chained, 1 << 30), 256 << 10);
+        // Unlimited merging reads and records whole chunks.
+        let standard = ManifestLayout::standard();
+        assert_eq!(rescan_tile(u64::MAX, standard, 16 << 20), COPY_CHUNK as u64);
+    }
+
+    #[test]
+    fn rescan_with_wider_tiles_still_commits() {
+        const PART: u64 = 16 << 20;
+        let (mut p, _ssd, mut m) = watched_chained_mirror(4);
+        // Slots too small for a full manifest of the partition in 64 KiB
+        // tiles (256 extents): rescan must widen the tiles.
+        m.layout = ManifestLayout {
+            slots: m.layout.slots,
+            slot_bytes: 4 << 10,
+        };
+        assert!(PART / CHAIN_MERGE_LIMIT > m.layout.max_full_extents() as u64);
+        m.rescan(&mut p, 0, PART).unwrap();
+        assert_eq!(m.map().len() as u64, PART / (128 << 10));
+        assert_eq!(m.commit_epoch(&mut p, 0, PART).unwrap(), 1);
+        let data = Bytes::from(vec![0x5Au8; 256 << 10]);
+        for &off in &RESCAN_WRITES {
+            m.write_through(&mut p, 0, vec![(off, data.clone())])
+                .unwrap();
+        }
+        m.discard(RESCAN_DISCARD, 256 << 10);
+        assert_eq!(m.commit_epoch(&mut p, 0, PART).unwrap(), 2);
+        let layout = m.layout();
+        let (mut replica, map, _, _) = m.into_parts();
+        let (extents, head) = materialize_chain(&mut replica, PART, layout)
+            .unwrap()
+            .unwrap();
+        assert_eq!(head, 2);
+        assert_eq!(
+            extents
+                .iter()
+                .map(|e| (e.offset, e.len, Some(e.crc)))
+                .collect::<Vec<_>>(),
+            map.entries()
+        );
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub fn slot_offset(epoch: u64) -> u64 {
 
 /// Most extents a slot body can hold.
 pub fn max_extents() -> usize {
-    (SLOT_BYTES as usize - COMMIT_RECORD_BYTES as usize - BODY_HEADER) / EXTENT_BYTES
+    ManifestLayout::standard().max_full_extents()
 }
 
 /// Geometry of the manifest region: how [`REGION_BYTES`] is divided into
@@ -98,6 +98,12 @@ impl ManifestLayout {
     /// Most body bytes one slot can carry.
     pub fn body_capacity(&self) -> usize {
         (self.slot_bytes - COMMIT_RECORD_BYTES) as usize
+    }
+
+    /// Most extents a full (non-delta) manifest body fitting one slot
+    /// can carry.
+    pub fn max_full_extents(&self) -> usize {
+        (self.body_capacity() - BODY_HEADER) / EXTENT_BYTES
     }
 }
 
@@ -406,6 +412,11 @@ impl ExtentMap {
     /// as-is; only future merges respect the cap.
     pub fn set_merge_limit(&mut self, limit: u64) {
         self.merge_limit = limit.max(1);
+    }
+
+    /// Largest extent adjacent merges may produce.
+    pub fn merge_limit(&self) -> u64 {
+        self.merge_limit
     }
 
     /// Record a mirrored write of `len` bytes at `offset` whose payload
